@@ -10,20 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import core
-from .graphs import (
-    SimpleGraph,
-    complete_graph,
-    has_clique,
-    max_clique,
-    maximal_cliques,
-)
+from .core import NotBasicOptimal
+from .graphs import SimpleGraph, has_clique, max_clique, maximal_cliques
 
 
 class NotKFree(core.ErlabError):
-    pass
-
-
-class NotBasicOptimal(core.ErlabError):
     pass
 
 

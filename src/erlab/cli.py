@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -29,13 +28,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ER_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_k(text: str) -> core.ColourSeq:
@@ -59,7 +51,17 @@ def _parse_constraint(text: str) -> lp.Constraint:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _load_triple(path: str) -> tuple:
+    obj = _load_json(path)
+    if not isinstance(obj, dict) or "k" not in obj or "r" not in obj:
+        raise UsageError(f'{path} is not a pattern: it needs "k" and "r"')
+    return core.triple_from_json(obj)
 
 
 def render_form(form: LogLinear) -> dict:
@@ -118,7 +120,7 @@ def _cmd_q2(args) -> tuple:
 
 
 def _cmd_verify(args) -> tuple:
-    triple, k = core.triple_from_json(_load_json(args.pattern))
+    triple, k = _load_triple(args.pattern)
     if args.k:
         k = _parse_k(args.k)
     claimed = core.q_value(triple)
@@ -139,7 +141,7 @@ def _cmd_verify(args) -> tuple:
 def _cmd_extension(args) -> tuple:
     k = _parse_k(args.k)
     if args.opt:
-        triple, _ = core.triple_from_json(_load_json(args.opt))
+        triple, _ = _load_triple(args.opt)
     else:
         triple = constructions.known_optimum(k)
         if triple is None:
@@ -199,7 +201,7 @@ def _cmd_lp(args) -> tuple:
 def _cmd_certify(args) -> tuple:
     k = _parse_k(args.k)
     if args.construction:
-        construction, _ = core.triple_from_json(_load_json(args.construction))
+        construction, _ = _load_triple(args.construction)
     else:
         construction = constructions.known_optimum(k)
         if construction is None:
@@ -226,6 +228,10 @@ def _cmd_certify(args) -> tuple:
 
 
 def _cmd_oracle(args) -> tuple:
+    needs = {"count": ("graph", "k"), "extremal": ("n", "k"), "blowup": ("input", "n")}[args.mode]
+    missing = [f"--{name}" for name in needs if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"oracle {args.mode} needs {' and '.join(missing)}")
     k = _parse_k(args.k) if args.k else None
     if args.mode == "count":
         g = graph_from_json(_load_json(args.graph))
@@ -244,7 +250,7 @@ def _cmd_oracle(args) -> tuple:
         }
         return _report("oracle-extremal", {"n": args.n, "k": list(k.entries)}, results), 0
     # blowup
-    triple, k_file = core.triple_from_json(_load_json(args.input))
+    triple, k_file = _load_triple(args.input)
     count = oracle.pattern_colouring_count(triple, args.n)
     results = {
         "n": args.n,
@@ -255,7 +261,7 @@ def _cmd_oracle(args) -> tuple:
 
 
 def _cmd_symmetrise(args) -> tuple:
-    triple, k = core.triple_from_json(_load_json(args.input))
+    triple, k = _load_triple(args.input)
     if args.k:
         k = _parse_k(args.k)
     traj = symmetrise.forward_symmetrise(triple, k)
@@ -406,7 +412,6 @@ def run(argv) -> int:
         report, code = _DISPATCH[args.subcommand](args)
         if args.subcommand != "tables":
             report["timing"] = {"seconds": round(time.perf_counter() - start, 3)}
-        report["threads"] = _threads()
         _emit(report, args.format)
         return code
     except UsageError as exc:

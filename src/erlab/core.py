@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import SimpleGraph, has_clique, max_clique_masks
+from .graphs import SimpleGraph, has_clique
 from .logform import LogLinear
 
 
@@ -41,6 +41,10 @@ class IndexOutOfRange(ErlabError):
 
 
 class EqualIndices(ErlabError):
+    pass
+
+
+class NotBasicOptimal(ErlabError):
     pass
 
 
@@ -413,8 +417,3 @@ def triple_from_json(obj: dict) -> tuple:
         alpha = tuple(Fraction(a) for a in alpha_raw)
     level = int(obj.get("level", 0))
     return FeasibleTriple(pattern, alpha, level), k
-
-
-def pattern_max_clique(pattern: ColourPattern, c: int) -> tuple:
-    adj = pattern.colour_graph(c).adjacency_masks()
-    return max_clique_masks(adj)

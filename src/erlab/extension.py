@@ -15,11 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import core, search
-from .graphs import has_clique
-
-
-class NotBasicOptimal(core.ErlabError):
-    pass
+from .core import NotBasicOptimal
+from .graphs import has_clique, multipartite_parts
 
 
 class EmptyOptSet(core.ErlabError):
@@ -207,27 +204,10 @@ def numcheck_certificate(triple: core.FeasibleTriple, k: core.ColourSeq):
 
 def _is_balanced_turan(pattern: core.ColourPattern, c: int, parts: int) -> bool:
     """Colour graph isomorphic to the balanced complete multipartite graph."""
-    g = pattern.colour_graph(c)
-    comp = g.complement()
-    # complement must be a disjoint union of equal cliques, `parts` of them
-    seen = set()
-    classes = []
-    adjc = comp.adjacency_masks()
-    for v in range(g.n):
-        if v in seen:
-            continue
-        cls = {v} | {u for u in range(g.n) if (adjc[v] >> u) & 1}
-        for a in cls:
-            for b in cls:
-                if a != b and not comp.has_edge(a, b):
-                    return False
-        for a in cls:
-            nb = {u for u in range(g.n) if (adjc[a] >> u) & 1} | {a}
-            if nb != cls:
-                return False
-        seen |= cls
-        classes.append(cls)
-    return len(classes) == parts and len({len(c_) for c_ in classes}) == 1
+    found = multipartite_parts(pattern.colour_graph(c))
+    if found is None or len(found) != parts:
+        return False
+    return len({bin(p).count("1") for p in found}) == 1
 
 
 def char_decompose(

@@ -168,6 +168,54 @@ def maximal_cliques(g: SimpleGraph) -> list[list[int]]:
     return out
 
 
+def multipartite_parts(g: SimpleGraph) -> list[int] | None:
+    """The parts (vertex masks) of a complete multipartite graph, or None
+    when g is not one, that is when non-adjacency is not transitive."""
+    full = (1 << g.n) - 1
+    parts = [full & ~a for a in g.adjacency_masks()]
+    if any(parts[u] != parts[v] for v in range(g.n) for u in range(g.n) if parts[v] >> u & 1):
+        return None
+    return sorted(set(parts))
+
+
+def canonical_matrix_code(r: int, matrices) -> bytes:
+    """The least code bytes(m[o[a]][o[b]] for a < b, row-major) over the
+    symmetric r x r matrices m and all vertex orders o (McKay's exact
+    min-lex search, without invariant refinement).
+
+    Position i takes a vertex from the cell holding it; every later cell is
+    then split by its entry against that vertex, ascending, as minimality
+    forces, so row i is known once position i is filled.  Only the least
+    rows are followed, and a prefix above the best code is pruned.
+    """
+    best = None
+
+    def search(m, code: bytes, cells: list, left: int):
+        nonlocal best
+        if left <= 1:
+            best = code
+            return
+        children = []
+        for v in cells[0]:
+            split, row = [], []
+            for cell in ([x for x in cells[0] if x != v], *cells[1:]):
+                groups: dict = {}
+                for x in cell:
+                    groups.setdefault(m[v][x], []).append(x)
+                for value in sorted(groups):
+                    split.append(groups[value])
+                    row += [value] * len(groups[value])
+            children.append((code + bytes(row), split))
+        low = min(child for child, _ in children)
+        for child, split in children:
+            if child == low and (best is None or child <= best[: len(child)]):
+                search(m, child, split, left - 1)
+
+    for m in matrices:
+        search(m, b"", [list(range(r))], r)
+    return best
+
+
 def graph_to_json(g: SimpleGraph) -> dict:
     return {"n": g.n, "edges": sorted([u + 1, v + 1] for u, v in g.edges)}
 

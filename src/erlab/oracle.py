@@ -6,12 +6,11 @@ the structural machinery on small instances, not to be fast.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import core
-from .graphs import SimpleGraph, has_clique
+from .graphs import SimpleGraph, canonical_matrix_code, has_clique, multipartite_parts
 
 
 class TooLarge(core.ErlabError):
@@ -60,43 +59,41 @@ def count_valid_colourings(g: SimpleGraph, k: core.ColourSeq) -> int:
     return count
 
 
-def _canonical_graph_code(n: int, edges: frozenset) -> int:
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    index = {p: b for b, p in enumerate(pairs)}
-    best = None
-    for perm in itertools.permutations(range(n)):
-        m = 0
-        for u, v in edges:
-            a, b = perm[u], perm[v]
-            m |= 1 << index[(min(a, b), max(a, b))]
-        if best is None or m < best:
-            best = m
-    return best
+def _canonical_graph_code(n: int, edges: frozenset) -> bytes:
+    adj = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        adj[u][v] = adj[v][u] = 1
+    return canonical_matrix_code(n, [adj])
 
 
 def is_complete_multipartite(g: SimpleGraph) -> bool:
     """True iff the complement is a disjoint union of cliques."""
-    comp = g.complement().adjacency_masks()
-    seen = [False] * g.n
-    for v in range(g.n):
-        if seen[v]:
-            continue
-        # component by BFS
-        stack, members = [v], set()
-        while stack:
-            u = stack.pop()
-            if u in members:
-                continue
-            members.add(u)
-            for w in range(g.n):
-                if (comp[u] >> w) & 1 and w not in members:
-                    stack.append(w)
-        for a in members:
-            seen[a] = True
-            for b in members:
-                if a < b and not (comp[a] >> b) & 1:
-                    return False
-    return True
+    return multipartite_parts(g) is not None
+
+
+def graph_classes(n: int) -> list:
+    """One edge set per isomorphism class of graphs on n vertices.
+
+    Graphs are generated level-wise by edge additions from the empty graph,
+    deduplicated by canonical code; every isomorphism class contains a chain
+    down to the empty graph, so the sweep is exhaustive.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    classes = {_canonical_graph_code(n, frozenset()): frozenset()}
+    frontier = dict(classes)
+    while frontier:
+        nxt = {}
+        for edges in frontier.values():
+            for p in pairs:
+                if p in edges:
+                    continue
+                e2 = edges | {p}
+                code = _canonical_graph_code(n, e2)
+                if code not in classes and code not in nxt:
+                    nxt[code] = e2
+        classes.update(nxt)
+        frontier = nxt
+    return list(classes.values())
 
 
 @dataclass
@@ -110,34 +107,14 @@ class ExtremalResult:
 
 
 def extremal_search(n: int, k: core.ColourSeq) -> ExtremalResult:
-    """Maximise F(G; k) over all graphs on n vertices, up to isomorphism.
-
-    Graphs are generated level-wise by edge additions from the empty graph,
-    deduplicated by canonical code; every isomorphism class contains a chain
-    down to the empty graph, so the sweep is exhaustive.
-    """
+    """Maximise F(G; k) over all graphs on n vertices, up to isomorphism."""
     limit = 7 if k.s == 2 else 5
     if n > limit:
         raise TooLarge(f"extremal search limited to n <= {limit} for s={k.s}")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    classes = {_canonical_graph_code(n, frozenset()): frozenset()}
-    all_classes = dict(classes)
-    frontier = classes
-    while frontier:
-        nxt = {}
-        for edges in frontier.values():
-            for p in pairs:
-                if p in edges:
-                    continue
-                e2 = edges | {p}
-                code = _canonical_graph_code(n, frozenset(e2))
-                if code not in all_classes and code not in nxt:
-                    nxt[code] = frozenset(e2)
-        all_classes.update(nxt)
-        frontier = nxt
+    classes = graph_classes(n)
     best = -1
     maximisers = []
-    for edges in all_classes.values():
+    for edges in classes:
         g = SimpleGraph(n, edges)
         f = count_valid_colourings(g, k)
         if f > best:
@@ -150,7 +127,7 @@ def extremal_search(n: int, k: core.ColourSeq) -> ExtremalResult:
         maximum=best,
         maximisers=maximisers,
         all_complete_multipartite=all(is_complete_multipartite(g) for g in maximisers),
-        classes_examined=len(all_classes),
+        classes_examined=len(classes),
     )
 
 

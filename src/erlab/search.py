@@ -9,13 +9,13 @@ deduplicated by canonical code.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from . import core, weights
-from .graphs import has_clique
+from .graphs import canonical_matrix_code, has_clique
 
 
 @dataclass(frozen=True)
@@ -35,54 +35,26 @@ class SearchResult:
     nodes: int
 
 
-def _pair_order(r: int) -> list:
-    return [(i, j) for i in range(r) for j in range(i + 1, r)]
-
-
+@functools.lru_cache(maxsize=32)
 def _colour_perms(k: core.ColourSeq) -> list:
     """Colour permutations preserving the clique-order sequence."""
-    blocks: dict[int, list[int]] = {}
-    for c in k.colours():
-        blocks.setdefault(k[c], []).append(c)
-    perms = [{}]
-    for members in blocks.values():
-        new = []
-        for base in perms:
-            for p in itertools.permutations(members):
-                ext = dict(base)
-                ext.update(zip(members, p))
-                new.append(ext)
-        perms = new
-    return perms
-
-
-def _encode(pattern: core.ColourPattern, vperm, cmap) -> bytes:
-    r = pattern.r
-    masks = bytearray(r * (r - 1) // 2)
-    idx = {}
-    n = 0
-    for i in range(r):
-        for j in range(i + 1, r):
-            idx[(i, j)] = n
-            n += 1
-    for (i, j), cs in pattern.assignment.items():
-        a, b = vperm[i], vperm[j]
-        m = 0
-        for c in cs:
-            m |= 1 << (cmap[c] - 1)
-        masks[idx[(min(a, b), max(a, b))]] = m
-    return bytes(masks)
+    colours = list(k.colours())
+    images = itertools.permutations(colours)
+    return [dict(zip(colours, p)) for p in images if all(k[c] == k[d] for c, d in zip(colours, p))]
 
 
 def canonical_code(pattern: core.ColourPattern, k: core.ColourSeq) -> bytes:
-    cperms = _colour_perms(k)
-    best = None
-    for vperm in itertools.permutations(range(pattern.r)):
-        for cmap in cperms:
-            code = _encode(pattern, vperm, cmap)
-            if best is None or code < best:
-                best = code
-    return best
+    """Least code of the colour-mask matrix over vertex orders and colour
+    relabellings within blocks of equal clique order."""
+    r = pattern.r
+    matrices = set()
+    for cmap in _colour_perms(k):
+        mask = {cs: sum(1 << (cmap[c] - 1) for c in cs) for cs in set(pattern.assignment.values())}
+        m = [[0] * r for _ in range(r)]
+        for (i, j), cs in pattern.assignment.items():
+            m[i][j] = m[j][i] = mask[cs]
+        matrices.add(tuple(map(tuple, m)))
+    return canonical_matrix_code(r, matrices)
 
 
 class _Budget:
@@ -177,6 +149,8 @@ def solve_Q2(
     *,
     prune: bool = True,
 ) -> SearchResult:
+    if r_max < 2:
+        raise core.ErlabError(f"r_max={r_max}: the search needs r_max >= 2")
     if r_max >= core.ramsey_upper_bound(k):
         raise core.ErlabError(
             f"r_max={r_max} not below the Ramsey bound {core.ramsey_upper_bound(k)}"

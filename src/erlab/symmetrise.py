@@ -12,7 +12,6 @@ process terminates; clones are merged at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import core
 

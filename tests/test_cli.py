@@ -141,3 +141,51 @@ def test_tsv_format(capsys):
     )
     assert lines["schema"] == "er-lab/1"
     assert lines["results.d[0]"] == "1/2"
+
+
+def _usage_error(capsys, argv):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    return code == 1 and captured.out == "" and captured.err.startswith("usage error:")
+
+
+def test_oracle_count_without_k_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "k33.json"
+    path.write_text(json.dumps(graph_to_json(turan_graph(2, 6))))
+    assert _usage_error(capsys, ["oracle", "count", "--graph", str(path)])
+
+
+def test_oracle_extremal_without_n_is_a_usage_error(capsys):
+    assert _usage_error(capsys, ["oracle", "extremal", "--k", "3,3"])
+
+
+def test_oracle_blowup_without_input_is_a_usage_error(capsys):
+    assert _usage_error(capsys, ["oracle", "blowup", "--n", "6"])
+
+
+def test_malformed_json_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    assert _usage_error(capsys, ["verify", "--pattern", str(path)])
+
+
+def test_pattern_without_k_is_a_usage_error(tmp_path, capsys):
+    k = core.validate_sequence([3, 3])
+    obj = core.triple_to_json(constructions.known_optimum(k), k)
+    del obj["k"]
+    path = tmp_path / "nok.json"
+    path.write_text(json.dumps(obj))
+    assert _usage_error(capsys, ["symmetrise", "--input", str(path)])
+
+
+def test_q2_rmax_below_two_is_an_error(capsys):
+    for rmax in ("0", "1"):
+        code, out = run_cli(capsys, ["q2", "--k", "3,3", "--rmax", rmax])
+        assert code == 1
+        report = json.loads(out)
+        assert report["command"] == "error" and report["results"]["error"] == "ErlabError"
+
+
+def test_report_has_no_threads_key(capsys):
+    code, out = run_cli(capsys, ["lp", "--k", "3,3"])
+    assert code == 0 and "threads" not in json.loads(out)

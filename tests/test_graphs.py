@@ -1,9 +1,11 @@
+import itertools
 import random
 
 from conftest import brute_force_max_clique
 
 from erlab.graphs import (
     SimpleGraph,
+    canonical_matrix_code,
     complete_graph,
     graph_from_json,
     graph_to_json,
@@ -73,3 +75,21 @@ def test_complement_involution_and_json_roundtrip():
     g = random_graph(rng, 6)
     assert g.complement().complement() == g
     assert graph_from_json(graph_to_json(g)) == g
+
+
+def test_canonical_matrix_code_is_the_least_code_over_all_orders():
+    rng = random.Random(12)
+    for _ in range(300):
+        r = rng.randint(0, 6)
+        matrices = []
+        for _ in range(rng.randint(1, 3)):
+            m = [[0] * r for _ in range(r)]
+            for i, j in itertools.combinations(range(r), 2):
+                m[i][j] = m[j][i] = rng.randrange(rng.randint(1, 4))
+            matrices.append(m)
+        least = min(
+            bytes(m[o[a]][o[b]] for a, b in itertools.combinations(range(r), 2))
+            for m in matrices
+            for o in itertools.permutations(range(r))
+        )
+        assert canonical_matrix_code(r, matrices) == least

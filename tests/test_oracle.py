@@ -44,6 +44,11 @@ def test_count_guards():
         oracle.count_valid_colourings(complete_graph(8), k33())
 
 
+def test_graph_class_counts():
+    # the number of graphs on n unlabelled vertices (OEIS A000088)
+    assert [len(oracle.graph_classes(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+
+
 def test_extremal_search_small_n():
     # frozen from this exhaustive sweep (cross-checked by brute_force_count):
     # at n=4 the winner is K_4 itself (18), at n=5 it is K_{2,2,1} (82)

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from conftest import random_pattern
+from conftest import random_colour_sets, random_pattern
 
 from erlab import core, search
 from erlab.logform import LogLinear
@@ -16,6 +16,53 @@ def test_pattern_class_counts_small():
     assert [len(search.enumerate_patterns(r, k2)[0]) for r in range(2, 6)] == [1, 0, 0, 0]
     k3 = core.validate_sequence([3, 3, 3])
     assert [len(search.enumerate_patterns(r, k3)[0]) for r in range(2, 7)] == [2, 1, 1, 0, 0]
+
+
+def brute_force_canonical_code(pattern, k):
+    """Reference: the least code over every vertex order and every colour
+    permutation within blocks of equal clique order, each encoded from
+    scratch."""
+    r = pattern.r
+    pairs = list(itertools.combinations(range(r), 2))
+    index = {p: n for n, p in enumerate(pairs)}
+    colours = list(k.colours())
+    cmaps = [
+        dict(zip(colours, image))
+        for image in itertools.permutations(colours)
+        if all(k[c] == k[d] for c, d in zip(colours, image))
+    ]
+    best = None
+    for vperm in itertools.permutations(range(r)):
+        for cmap in cmaps:
+            masks = bytearray(len(pairs))
+            for (i, j), cs in pattern.assignment.items():
+                a, b = vperm[i], vperm[j]
+                m = 0
+                for c in cs:
+                    m |= 1 << (cmap[c] - 1)
+                masks[index[(min(a, b), max(a, b))]] = m
+            code = bytes(masks)
+            if best is None or code < best:
+                best = code
+    return best
+
+
+def test_canonical_code_matches_brute_force():
+    rng = random.Random(2)
+    for entries in [(3, 3, 3), (4, 3, 3), (3, 3, 3, 3), (4, 4)]:
+        k = core.validate_sequence(entries)
+        cases = []
+        for _ in range(12):
+            r = rng.randint(1, 6)
+            pairs = itertools.combinations(range(r), 2)
+            cases.append({p: random_colour_sets(rng, k.s) for p in pairs})
+        for r in (3, 6):  # fully symmetric: every pair has the same colour set
+            cs = random_colour_sets(rng, k.s, allow_empty=False)
+            cases.append({p: cs for p in itertools.combinations(range(r), 2)})
+        for assignment in cases:
+            r = max((j + 1 for _, j in assignment), default=1)
+            pattern = core.ColourPattern(r, assignment)
+            assert search.canonical_code(pattern, k) == brute_force_canonical_code(pattern, k)
 
 
 def test_canonical_code_relabel_invariance():
@@ -57,6 +104,13 @@ def test_solve_q2_rejects_ramsey_range():
     k = core.validate_sequence([3, 3])
     with pytest.raises(core.ErlabError):
         search.solve_Q2(k, 6)
+
+
+def test_solve_q2_rejects_degenerate_range():
+    k = core.validate_sequence([3, 3])
+    for r_max in (-1, 0, 1):
+        with pytest.raises(core.ErlabError):
+            search.solve_Q2(k, r_max)
 
 
 def test_solve_q2_prune_agreement():
