@@ -55,13 +55,12 @@ def test_canonical_code_matches_brute_force():
         for _ in range(12):
             r = rng.randint(1, 6)
             pairs = itertools.combinations(range(r), 2)
-            cases.append({p: random_colour_sets(rng, k.s) for p in pairs})
+            cases.append(core.ColourPattern(r, {p: random_colour_sets(rng, k.s) for p in pairs}))
         for r in (3, 6):  # fully symmetric: every pair has the same colour set
             cs = random_colour_sets(rng, k.s, allow_empty=False)
-            cases.append({p: cs for p in itertools.combinations(range(r), 2)})
-        for assignment in cases:
-            r = max((j + 1 for _, j in assignment), default=1)
-            pattern = core.ColourPattern(r, assignment)
+            pairs = itertools.combinations(range(r), 2)
+            cases.append(core.ColourPattern(r, dict.fromkeys(pairs, cs)))
+        for pattern in cases:
             assert search.canonical_code(pattern, k) == brute_force_canonical_code(pattern, k)
 
 
