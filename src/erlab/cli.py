@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import capacity as capacity_mod
 from . import constructions, core, extension, lp, oracle, search, symmetrise
-from .graphs import graph_from_json, graph_to_json
+from .graphs import SimpleGraph, graph_from_json, graph_to_json
 from .logform import LogLinear
 
 SCHEMA = "er-lab/1"
@@ -55,6 +55,13 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _load_graph(path: str) -> SimpleGraph:
+    try:
+        return graph_from_json(_load_json(path))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f'{path} is not a graph: it needs "n" and edges within [1, n] ({exc})') from exc
 
 
 def _load_triple(path: str) -> tuple:
@@ -166,7 +173,7 @@ def _cmd_extension(args) -> tuple:
 
 
 def _cmd_capacity(args) -> tuple:
-    g = graph_from_json(_load_json(args.graph))
+    g = _load_graph(args.graph)
     cap = capacity_mod.capacity(g, args.k)
     results = {
         "graph": graph_to_json(g),
@@ -234,7 +241,7 @@ def _cmd_oracle(args) -> tuple:
         raise UsageError(f"oracle {args.mode} needs {' and '.join(missing)}")
     k = _parse_k(args.k) if args.k else None
     if args.mode == "count":
-        g = graph_from_json(_load_json(args.graph))
+        g = _load_graph(args.graph)
         n = oracle.count_valid_colourings(g, k)
         results = {"graph": graph_to_json(g), "count": str(n)}
         return _report("oracle-count", {"k": list(k.entries)}, results), 0

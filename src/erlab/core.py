@@ -12,6 +12,7 @@ the weighting is rational.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -186,6 +187,70 @@ def is_feasible(pattern: ColourPattern, k: ColourSeq, level: int):
         if witness is not None:
             return False, ("clique", c, witness)
     return True, None
+
+
+def colour_subsets(s: int, least: int) -> list[frozenset]:
+    """The sets of at least `least` colours from [1, s], by size, then
+    lexicographically."""
+    return [
+        frozenset(cs)
+        for size in range(least, s + 1)
+        for cs in itertools.combinations(range(1, s + 1), size)
+    ]
+
+
+def attachment_rows(pattern, k, subsets, budget=None, alpha=None, target=0.0, tol=1e-9) -> list:
+    """The rows of colour sets from `subsets`, one per vertex of `pattern`,
+    that join a new vertex without a K_{k_c} in any colour c, in
+    lexicographic order of their subset indices (a DFS over the vertices).
+
+    nbr[c] holds the earlier vertices joined to the new one in colour c; as
+    the prefix passed, vertex j may take c iff nbr[c] & adj_c[j] spans no
+    K_{k_c - 2}.  With weights `alpha`, only rows whose sum of
+    alpha_j log2|cs_j| is within `tol` of `target` are kept, and a candidate
+    that cannot reach it (alpha_i log2 s bounds each later vertex) is
+    skipped before its clique test.  `budget.spend()` runs once per
+    candidate, before any test; the DFS stops once it refuses.
+    """
+    r, s = pattern.r, k.s
+    weights = [0.0] * r if alpha is None else [float(a) for a in alpha]
+    bound = [0.0] * (r + 1)
+    for i in range(r - 1, -1, -1):
+        bound[i] = bound[i + 1] + weights[i] * math.log2(s)
+    adj = {c: pattern.colour_graph(c).adjacency_masks() for c in k.colours()}
+    logs = [math.log2(len(cs)) if cs else 0.0 for cs in subsets]
+    checks = [[[(c, adj[c], adj[c][j], k[c] - 2) for c in cs] for cs in subsets] for j in range(r)]
+    nbr = [0] * (s + 1)
+    row: list[frozenset] = []
+    out: list[tuple] = []
+
+    def dfs(j: int, ext: float):
+        if j == r:
+            if abs(ext - target) <= tol:
+                out.append(tuple(row))
+            return
+        bit = 1 << j
+        for cs, log, tests in zip(subsets, logs, checks[j]):
+            if budget is not None and not budget.spend():
+                return
+            gain = weights[j] * log
+            if ext + gain + bound[j + 1] < target - tol:
+                continue
+            for c, adj_c, adj_cj, need in tests:
+                m = nbr[c] & adj_cj
+                if m and (need == 1 or has_clique(adj_c, need, m) is not None):
+                    break
+            else:
+                for c in cs:
+                    nbr[c] |= bit
+                row.append(cs)
+                dfs(j + 1, ext + gain)
+                row.pop()
+                for c in cs:
+                    nbr[c] &= ~bit
+
+    dfs(0, 0.0)
+    return out
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,13 @@ existing vertex (with no colours on the joining pair).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import core, search
 from .core import NotBasicOptimal
-from .graphs import has_clique, multipartite_parts
+from .graphs import multipartite_parts
 
 
 class EmptyOptSet(core.ErlabError):
@@ -61,58 +60,19 @@ def enumerate_optimal_attachments(
 ) -> list:
     """All feasible attachments whose contribution meets the optimum.
 
-    DFS over vertices; prunes on the remaining-contribution bound and on
-    incremental clique containment, so completeness is preserved.
+    The rows of `core.attachment_rows` over every colour set, the empty one
+    included; its pruning by the remaining-contribution bound and by
+    incremental clique containment preserves completeness.
     """
     check = search.verify_candidate(triple, k, core.q_value(triple))
     if not check["passed"]:
         raise NotBasicOptimal(f"candidate fails basic-optimality checks: {check['checks']}")
-    pattern, alpha = triple.pattern, triple.weighting
-    r = pattern.r
-    s = k.s
     if q_target is None:
         q_target = core.q_value(triple).numeric_value
-    log_s = math.log2(s)
-    subsets = [
-        frozenset(cs)
-        for size in range(0, s + 1)
-        for cs in itertools.combinations(range(1, s + 1), size)
-    ]
-    adj = {c: pattern.colour_graph(c).adjacency_masks() for c in k.colours()}
-    suffix_bound = [0.0] * (r + 1)
-    for i in range(r - 1, -1, -1):
-        suffix_bound[i] = suffix_bound[i + 1] + float(alpha[i]) * log_s
-
-    out: list[Attachment] = []
-    profile: list[frozenset] = []
-
-    def colour_ok(j: int, cs: frozenset) -> bool:
-        for c in cs:
-            nbr = 0
-            for x in range(j + 1):
-                if c in (profile[x] if x < j else cs) and (x == j or c in profile[x]):
-                    nbr |= 1 << x
-            masked = [adj[c][x] & nbr if (nbr >> x) & 1 else 0 for x in range(r)]
-            if has_clique(masked, k[c] - 1) is not None:
-                return False
-        return True
-
-    def dfs(j: int, ext_so_far: float):
-        if ext_so_far + suffix_bound[j] < q_target - tol:
-            return
-        if j == r:
-            if abs(ext_so_far - q_target) <= tol:
-                out.append(Attachment(tuple(profile)))
-            return
-        for cs in subsets:
-            profile.append(cs)
-            gain = float(alpha[j]) * math.log2(len(cs)) if cs else 0.0
-            if colour_ok(j, cs):
-                dfs(j + 1, ext_so_far + gain)
-            profile.pop()
-
-    dfs(0, 0.0)
-    return out
+    rows = core.attachment_rows(
+        triple.pattern, k, core.colour_subsets(k.s, 0), alpha=triple.weighting, target=q_target, tol=tol
+    )
+    return [Attachment(row) for row in rows]
 
 
 def _clone_target(pattern_ext: core.ColourPattern, new: int):

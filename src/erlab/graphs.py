@@ -11,6 +11,8 @@ class SimpleGraph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"negative vertex count {self.n}")
         norm = frozenset((min(u, v), max(u, v)) for u, v in self.edges)
         for u, v in norm:
             if u == v:
@@ -104,37 +106,31 @@ def max_clique(g: SimpleGraph) -> tuple[int, list[int]]:
     return max_clique_masks(g.adjacency_masks())
 
 
-def has_clique(adj: list[int], k: int) -> list[int] | None:
-    """A clique of size k in the bitmask adjacency, or None.
+def has_clique(adj: list[int], k: int, within: int | None = None) -> list[int] | None:
+    """A clique of size k in the bitmask adjacency, inside the vertex mask
+    `within` (every vertex by default), or None.
 
     Cheap incremental check used while growing colour graphs: k is small
     (clique orders are at least 3 and rarely above 6).
     """
-    n = len(adj)
     if k <= 0:
         return []
-    if k == 1:
-        return [0] if n else None
 
     def grow(clique: list[int], cand_mask: int) -> list[int] | None:
         if len(clique) == k:
-            return clique.copy()
-        need = k - len(clique)
-        if bin(cand_mask).count("1") < need:
-            return None
-        m = cand_mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            clique.append(v)
-            found = grow(clique, cand_mask & adj[v] & ~((1 << (v + 1)) - 1))
-            clique.pop()
-            if found is not None:
-                return found
-            cand_mask &= ~(1 << v)
+            return clique
+        need = k - len(clique) - 1  # vertices still wanted after the next
+        while cand_mask.bit_count() > need:
+            v = (cand_mask & -cand_mask).bit_length() - 1
+            cand_mask &= cand_mask - 1
+            later = cand_mask & adj[v]
+            if later.bit_count() >= need:
+                found = grow(clique + [v], later)
+                if found is not None:
+                    return found
         return None
 
-    return grow([], (1 << n) - 1)
+    return grow([], (1 << len(adj)) - 1 if within is None else within)
 
 
 def maximal_cliques(g: SimpleGraph) -> list[list[int]]:

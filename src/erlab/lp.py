@@ -63,9 +63,6 @@ class LPSolution:
     optimal_vertices: list
     vertex_count: int
 
-    def d_of(self, t: int) -> Fraction:
-        return self.d[t - 2]
-
 
 def _solve_square(rows, rhs):
     """Exact Gaussian elimination; returns the solution or None if singular."""

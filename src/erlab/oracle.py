@@ -37,8 +37,7 @@ def count_valid_colourings(g: SimpleGraph, k: core.ColourSeq) -> int:
         need = k[c] - 2
         if need == 1:
             return common != 0
-        masked = [adj[x] & common if (common >> x) & 1 else 0 for x in range(g.n)]
-        return has_clique(masked, need) is not None
+        return has_clique(adj, need, common) is not None
 
     def dfs(idx: int):
         nonlocal count

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import core, weights
-from .graphs import canonical_matrix_code, has_clique
+from .graphs import canonical_matrix_code
 
 
 @dataclass(frozen=True)
@@ -67,42 +67,6 @@ class _Budget:
         return self.used <= self.limit
 
 
-def _extension_rows(base: core.ColourPattern, k: core.ColourSeq, subsets, budget):
-    """All feasible rows attaching a new vertex to `base` at level 2."""
-    v = base.r
-    adj = {c: base.colour_graph(c).adjacency_masks() for c in k.colours()}
-    row: list[frozenset] = []
-    out = []
-
-    def feasible_entry(j: int, cs: frozenset) -> bool:
-        for c in cs:
-            nbr = 0
-            for x in range(j):
-                if c in row[x]:
-                    nbr |= 1 << x
-            nbr |= 1 << j
-            # new vertex + colour-c neighbourhood must not span K_{k_c}
-            masked = [adj[c][x] & nbr if (nbr >> x) & 1 else 0 for x in range(v)]
-            if has_clique(masked, k[c] - 1) is not None:
-                return False
-        return True
-
-    def dfs(j: int):
-        if j == v:
-            out.append(tuple(row))
-            return
-        for cs in subsets:
-            if budget is not None and not budget.spend():
-                return
-            row.append(cs)
-            if feasible_entry(j, cs):
-                dfs(j + 1)
-            row.pop()
-
-    dfs(0)
-    return out
-
-
 def enumerate_patterns(r: int, k: core.ColourSeq, budget: _Budget | None = None):
     """One representative per isomorphism class of the level-2 patterns.
 
@@ -110,12 +74,7 @@ def enumerate_patterns(r: int, k: core.ColourSeq, budget: _Budget | None = None)
     """
     if r < 2:
         raise core.ErlabError("enumeration needs r >= 2")
-    s = k.s
-    subsets = [
-        frozenset(cs)
-        for size in range(2, s + 1)
-        for cs in itertools.combinations(range(1, s + 1), size)
-    ]
+    subsets = core.colour_subsets(k.s, 2)
     level: dict[bytes, core.ColourPattern] = {}
     for cs in subsets:
         p = core.ColourPattern(2, {(0, 1): cs})
@@ -126,7 +85,7 @@ def enumerate_patterns(r: int, k: core.ColourSeq, budget: _Budget | None = None)
     for v in range(2, r):
         nxt: dict[bytes, core.ColourPattern] = {}
         for base in level.values():
-            rows = _extension_rows(base, k, subsets, budget)
+            rows = core.attachment_rows(base, k, subsets, budget)
             if budget is not None and budget.used > budget.limit:
                 completed = False
             for row in rows:

@@ -189,3 +189,15 @@ def test_q2_rmax_below_two_is_an_error(capsys):
 def test_report_has_no_threads_key(capsys):
     code, out = run_cli(capsys, ["lp", "--k", "3,3"])
     assert code == 0 and "threads" not in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "graph", [{"edges": [[1, 2]]}, {"n": 2, "edges": [[1, 5]]}], ids=["no-n", "edge-outside"]
+)
+@pytest.mark.parametrize(
+    "argv", [["capacity", "--k", "3"], ["oracle", "count", "--k", "3,3"]], ids=["capacity", "oracle-count"]
+)
+def test_bad_graph_is_a_usage_error(tmp_path, capsys, graph, argv):
+    path = tmp_path / "bad_graph.json"
+    path.write_text(json.dumps(graph))
+    assert _usage_error(capsys, argv + ["--graph", str(path)])

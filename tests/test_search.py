@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
 from conftest import random_colour_sets, random_pattern
 
-from erlab import core, search
+from erlab import constructions, core, search
+from erlab.graphs import has_clique
 from erlab.logform import LogLinear
 
 
@@ -139,3 +141,57 @@ def test_verify_candidate_detects_wrong_claims():
     skew = core.FeasibleTriple(p, (Fraction(1, 4), Fraction(3, 4)), level=2)
     bad = search.verify_candidate(skew, k, core.q_value(skew))
     assert not bad["passed"] and not bad["checks"]["stationary"]
+
+
+def brute_force_rows(pattern, k, subsets):
+    """Reference: every row in itertools.product order whose extended pattern
+    has no K_{k_c} in colour c, each checked from scratch."""
+    r = pattern.r
+    rows = []
+    for row in itertools.product(subsets, repeat=r):
+        assignment = dict(pattern.assignment)
+        assignment.update({(x, r): cs for x, cs in enumerate(row)})
+        ext = core.ColourPattern(r + 1, assignment)
+        if not any(has_clique(ext.colour_graph(c).adjacency_masks(), k[c]) for c in k.colours()):
+            rows.append(row)
+    return rows
+
+
+def test_attachment_rows_match_brute_force():
+    cases = []
+    for entries in [(3, 3, 3), (4, 3, 3), (3, 3, 3, 3)]:
+        k = core.validate_sequence(entries)
+        t = constructions.known_optimum(k) or search.solve_Q2(k, 4).optima[0]
+        cases.append((t.pattern, k, t.weighting))
+    for entries, r in [((4, 3, 3), 3), ((4, 3, 3), 4), ((3, 3, 3, 3), 3), ((4, 4), 3), ((4, 4, 3), 4)]:
+        k = core.validate_sequence(entries)
+        cases += [(rep.pattern, k, None) for rep in search.enumerate_patterns(r, k)[0][:3]]
+    weighted = 0
+    for pattern, k, alpha in cases:
+        for least in (2, 0):  # the search's colour sets; the extension's, empty set included
+            subsets = core.colour_subsets(k.s, least)
+            expected = brute_force_rows(pattern, k, subsets)
+            assert core.attachment_rows(pattern, k, subsets) == expected, (k, pattern)
+            if alpha is None:
+                continue
+            # the extension's rows: those whose contribution meets q
+            q = core.q_value(core.FeasibleTriple(pattern, alpha)).numeric_value
+            meets = [
+                row for row in expected
+                if abs(sum(float(a) * math.log2(len(cs)) for a, cs in zip(alpha, row) if cs) - q) <= 1e-9
+            ]
+            assert core.attachment_rows(pattern, k, subsets, alpha=alpha, target=q) == meets
+            weighted += len(meets)
+    assert weighted >= len([(3, 3, 3), (4, 3, 3), (3, 3, 3, 3)])  # the clones, at least
+
+
+def test_search_counters_are_pinned():
+    # nodes (one per candidate colour set) and classes per level, as
+    # recorded from the per-entry clique test the shared kernel replaced
+    for entries, r_max, nodes, classes in [
+        ((4, 3, 3, 3), 4, 22968, [5, 25, 488]),
+        ((4, 4, 3), 5, 3448, [3, 7, 15, 15]),
+    ]:
+        k = core.validate_sequence(entries)
+        assert search.solve_Q2(k, r_max).nodes == nodes
+        assert [len(search.enumerate_patterns(r, k)[0]) for r in range(2, r_max + 1)] == classes
