@@ -199,7 +199,15 @@ def colour_subsets(s: int, least: int) -> list[frozenset]:
     ]
 
 
-def attachment_rows(pattern, k, subsets, budget=None, alpha=None, target=0.0, tol=1e-9) -> list:
+def attachment_rows(
+    pattern: ColourPattern,
+    k: ColourSeq,
+    subsets: list,
+    budget=None,
+    alpha=None,
+    target: float = 0.0,
+    tol: float = 1e-9,
+) -> list[tuple]:
     """The rows of colour sets from `subsets`, one per vertex of `pattern`,
     that join a new vertex without a K_{k_c} in any colour c, in
     lexicographic order of their subset indices (a DFS over the vertices).

@@ -93,3 +93,19 @@ def test_canonical_matrix_code_is_the_least_code_over_all_orders():
             for o in itertools.permutations(range(r))
         )
         assert canonical_matrix_code(r, matrices) == least
+
+
+def test_has_clique_returns_least_clique_within_mask():
+    # the witness is the lexicographically least k-clique inside the mask
+    rng = random.Random(47)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 8))
+        k = rng.randint(1, 4)
+        within = rng.choice([None, rng.getrandbits(g.n)])
+        allowed = [v for v in range(g.n) if within is None or within >> v & 1]
+        cliques = [
+            list(sub)
+            for sub in itertools.combinations(allowed, k)
+            if all(g.has_edge(u, v) for u, v in itertools.combinations(sub, 2))
+        ]
+        assert has_clique(g.adjacency_masks(), k, within) == (cliques[0] if cliques else None)

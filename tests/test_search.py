@@ -182,12 +182,13 @@ def test_attachment_rows_match_brute_force():
             ]
             assert core.attachment_rows(pattern, k, subsets, alpha=alpha, target=q) == meets
             weighted += len(meets)
-    assert weighted >= len([(3, 3, 3), (4, 3, 3), (3, 3, 3, 3)])  # the clones, at least
+    assert weighted >= 3  # at least one clone per optimum
 
 
 def test_search_counters_are_pinned():
-    # nodes (one per candidate colour set) and classes per level, as
-    # recorded from the per-entry clique test the shared kernel replaced
+    # nodes (one per candidate colour set) and classes per level, recorded
+    # with the earlier full clique test per entry: the kernel must not
+    # change the budget accounting
     for entries, r_max, nodes, classes in [
         ((4, 3, 3, 3), 4, 22968, [5, 25, 488]),
         ((4, 4, 3), 5, 3448, [3, 7, 15, 15]),
