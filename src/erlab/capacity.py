@@ -71,39 +71,37 @@ def capacity(g: SimpleGraph, k: int) -> CapacityDescription:
             return CapacityDescription("OnlyOnes", g.n)
         return CapacityDescription("SumBounded", g.n, bound=k - 1)
     cliques = [c for c in maximal_cliques(g) if c]
-    # l feasible iff sum over every maximal clique is <= k-1
-    feasible = []
+    # l is feasible iff every maximal clique sums to at most k-1.  That set
+    # is downward-closed, so l is maximal iff every vertex lies in a maximal
+    # clique summing to exactly k-1.  Unset entries count as 1, so slack[c]
+    # is what the next vertex of c may still add; a vertex is judged once
+    # the last of its cliques is set.
+    slack = [k - 1 - len(c) for c in cliques]
+    mine = [[ci for ci, c in enumerate(cliques) if u in c] for u in range(g.n)]
+    due = [[] for _ in range(g.n)]
+    for u in range(g.n):
+        due[max(cliques[ci][-1] for ci in mine[u])].append(u)
+    vec = [1] * g.n
+    maxima = []  # in lexicographic order
 
-    def dfs(prefix: list[int]):
-        i = len(prefix)
+    def dfs(i: int):
         if i == g.n:
-            feasible.append(tuple(prefix))
+            maxima.append(tuple(vec))
             return
-        v = 1
-        while True:
-            prefix.append(v)
-            ok = all(
-                sum(prefix[u] for u in c if u < len(prefix)) <= k - 1 for c in cliques
-            )
-            if ok:
-                dfs(prefix)
-            prefix.pop()
-            if not ok:
-                break
-            v += 1
+        for extra in range(min(slack[ci] for ci in mine[i]) + 1):
+            vec[i] = 1 + extra
+            for ci in mine[i]:
+                slack[ci] -= extra
+            if all(any(slack[ci] == 0 for ci in mine[u]) for u in due[i]):
+                dfs(i + 1)
+            for ci in mine[i]:
+                slack[ci] += extra
+        vec[i] = 1
 
-    dfs([])
-    maxima = [
-        vec
-        for vec in feasible
-        if not any(
-            other != vec and all(a <= b for a, b in zip(vec, other))
-            for other in feasible
-        )
-    ]
+    dfs(0)
     if maxima == [tuple([1] * g.n)]:
         return CapacityDescription("OnlyOnes", g.n)
-    return CapacityDescription("ExplicitAntichain", g.n, max_vectors=tuple(sorted(maxima)))
+    return CapacityDescription("ExplicitAntichain", g.n, max_vectors=tuple(maxima))
 
 
 def is_maximally_kfree(g: SimpleGraph, k: int):
@@ -116,14 +114,11 @@ def is_maximally_kfree(g: SimpleGraph, k: int):
     w = has_clique(adj, k)
     if w is not None:
         return False, ("clique", w)
+    # g is K_k-free, so a K_k made by adding uv holds u, v and a K_{k-2}
+    # of common neighbours
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
-                continue
-            adj2 = list(adj)
-            adj2[u] |= 1 << v
-            adj2[v] |= 1 << u
-            if has_clique(adj2, k) is None:
+            if not g.has_edge(u, v) and has_clique(adj, k - 2, adj[u] & adj[v]) is None:
                 return False, ("non-edge", (u, v))
     return True, None
 

@@ -124,6 +124,24 @@ class ColourPattern:
         edges = frozenset(p for p, cs in self.assignment.items() if c in cs)
         return SimpleGraph(self.r, edges)
 
+    def induced(self, keep) -> "ColourPattern":
+        """The sub-pattern on the vertices `keep`, renumbered in that order."""
+        index = {v: i for i, v in enumerate(keep)}
+        return ColourPattern(
+            len(index),
+            {
+                (index[a], index[b]): cs
+                for (a, b), cs in self.assignment.items()
+                if a in index and b in index
+            },
+        )
+
+    def attach(self, row) -> "ColourPattern":
+        """Join a new vertex r, with colour set row[i] towards vertex i."""
+        assignment = dict(self.assignment)
+        assignment.update(((i, self.r), cs) for i, cs in enumerate(row))
+        return ColourPattern(self.r + 1, assignment)
+
     def relabel(self, perm) -> "ColourPattern":
         """Apply a vertex permutation (perm[i] = new index of i)."""
         return ColourPattern(
@@ -372,7 +390,6 @@ def merge_clones(triple: FeasibleTriple) -> MergeResult:
     alpha = list(triple.weighting)
     exact = weighting_is_exact(triple.weighting)
     dropped = Fraction(0) if exact else 0.0
-    labels = list(range(pattern.r))
 
     while True:
         found = None
@@ -390,29 +407,12 @@ def merge_clones(triple: FeasibleTriple) -> MergeResult:
             dropped += 2 * alpha[i] * alpha[j]
         alpha[i] = alpha[i] + alpha[j]
         keep = [v for v in range(pattern.r) if v != j]
-        remap = {v: idx for idx, v in enumerate(keep)}
-        pattern = ColourPattern(
-            len(keep),
-            {
-                (remap[a], remap[b]): cs
-                for (a, b), cs in pattern.assignment.items()
-                if a != j and b != j
-            },
-        )
+        pattern = pattern.induced(keep)
         alpha = [alpha[v] for v in keep]
-        labels = [labels[v] for v in keep]
 
     positive = [v for v in range(pattern.r) if alpha[v] > 0]
     if len(positive) < pattern.r and positive:
-        remap = {v: idx for idx, v in enumerate(positive)}
-        pattern = ColourPattern(
-            len(positive),
-            {
-                (remap[a], remap[b]): cs
-                for (a, b), cs in pattern.assignment.items()
-                if a in remap and b in remap
-            },
-        )
+        pattern = pattern.induced(positive)
         alpha = [alpha[v] for v in positive]
 
     zero = Fraction(0) if exact else 0.0

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import core, search
 from .core import NotBasicOptimal
-from .graphs import multipartite_parts
+from .graphs import max_clique, multipartite_parts
 
 
 class EmptyOptSet(core.ErlabError):
@@ -27,11 +27,7 @@ class Attachment:
     profile: tuple  # frozenset per existing vertex
 
     def extend(self, pattern: core.ColourPattern) -> core.ColourPattern:
-        r = pattern.r
-        assignment = dict(pattern.assignment)
-        for i, cs in enumerate(self.profile):
-            assignment[(i, r)] = cs
-        return core.ColourPattern(r + 1, assignment)
+        return pattern.attach(self.profile)
 
 
 @dataclass
@@ -228,29 +224,11 @@ def char_decompose(
         ):
             return None, f"part {p} weight {total} != {expected} (condition i)"
     # condition (iii): within-part colour-1 cliques must fit the capacity bound
-    inner_edges = False
-    ell = []
-    for p in range(rstar):
-        sub = [v for v in parts[p]]
-        adj = [0] * len(sub)
-        for a in range(len(sub)):
-            for b in range(a + 1, len(sub)):
-                if 1 in pattern.get(sub[a], sub[b]):
-                    adj[a] |= 1 << b
-                    adj[b] |= 1 << a
-                    inner_edges = True
-        size = _clique_number(adj)
-        ell.append(size)
-    if inner_edges:
+    inner = [pattern.induced(part).colour_graph(1) for part in parts]
+    ell = [max_clique(g)[0] for g in inner]
+    if any(g.edges for g in inner):
         if not k[1] > k[2]:
             return None, "within-part edges but k_1 = k_2 (condition iii)"
         if sum(ell) > k[1] - 1:
             return None, f"clique mass {sum(ell)} exceeds k_1-1={k[1]-1} (condition iii)"
     return parts, None
-
-
-def _clique_number(adj: list[int]) -> int:
-    from .graphs import max_clique_masks
-
-    size, _ = max_clique_masks(adj)
-    return size

@@ -58,13 +58,20 @@ def canonical_code(pattern: core.ColourPattern, k: core.ColourSeq) -> bytes:
 
 
 class _Budget:
+    """Counts DFS nodes up to `limit`; once a node is refused, `refused`
+    stays set and no further node is counted."""
+
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
+        self.refused = False
 
     def spend(self) -> bool:
+        if self.used >= self.limit:
+            self.refused = True
+            return False
         self.used += 1
-        return self.used <= self.limit
+        return True
 
 
 def enumerate_patterns(r: int, k: core.ColourSeq, budget: _Budget | None = None):
@@ -82,20 +89,15 @@ def enumerate_patterns(r: int, k: core.ColourSeq, budget: _Budget | None = None)
         if ok:
             level.setdefault(canonical_code(p, k), p)
     completed = True
-    for v in range(2, r):
+    for _ in range(2, r):
         nxt: dict[bytes, core.ColourPattern] = {}
         for base in level.values():
-            rows = core.attachment_rows(base, k, subsets, budget)
-            if budget is not None and budget.used > budget.limit:
-                completed = False
-            for row in rows:
-                assignment = dict(base.assignment)
-                for x, cs in enumerate(row):
-                    assignment[(x, v)] = cs
-                p = core.ColourPattern(v + 1, assignment)
+            for row in core.attachment_rows(base, k, subsets, budget):
+                p = base.attach(row)
                 nxt.setdefault(canonical_code(p, k), p)
         level = nxt
-        if not completed:
+        if budget is not None and budget.refused:
+            completed = False
             break
     reps = [CanonicalPattern(p, code) for code, p in sorted(level.items())]
     return reps, completed
@@ -128,7 +130,7 @@ def solve_Q2(
                 bound = (1 - 1 / r) * math.log2(max(mmax, 1))
                 if bound < best_numeric - 1e-9:
                     continue
-            opt = weights.optimize_weights(rep.pattern, k, cross_check=False)
+            opt = weights.optimize_weights(rep.pattern, k)
             val = opt.value.numeric_value
             if len(opt.support) < r:
                 continue  # basic optimum lives on fewer vertices; found there

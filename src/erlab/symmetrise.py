@@ -42,20 +42,6 @@ class Trajectory:
         return all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
-def _drop_vertices(pattern: core.ColourPattern, alpha, dead: set):
-    keep = [v for v in range(pattern.r) if v not in dead]
-    remap = {v: i for i, v in enumerate(keep)}
-    new_pattern = core.ColourPattern(
-        len(keep),
-        {
-            (remap[a], remap[b]): cs
-            for (a, b), cs in pattern.assignment.items()
-            if a in remap and b in remap
-        },
-    )
-    return new_pattern, tuple(alpha[v] for v in keep)
-
-
 def forward_symmetrise(triple: core.FeasibleTriple, k: core.ColourSeq) -> Trajectory:
     ok, witness = core.is_feasible(triple.pattern, k, level=0)
     if not ok:
@@ -65,10 +51,8 @@ def forward_symmetrise(triple: core.FeasibleTriple, k: core.ColourSeq) -> Trajec
     exact = core.weighting_is_exact(triple.weighting)
     q0 = core.q_value(triple).numeric_value
 
-    dead = {v for v in range(pattern.r) if (alpha[v] == 0 if exact else float(alpha[v]) <= 0)}
-    if dead:
-        pattern, alpha_t = _drop_vertices(pattern, alpha, dead)
-        alpha = list(alpha_t)
+    live = [v for v in range(pattern.r) if (alpha[v] != 0 if exact else float(alpha[v]) > 0)]
+    pattern, alpha = pattern.induced(live), [alpha[v] for v in live]
 
     steps: list[Step] = []
     while True:
@@ -91,8 +75,8 @@ def forward_symmetrise(triple: core.FeasibleTriple, k: core.ColourSeq) -> Trajec
         else:
             keep, drop = (i, j) if att_j <= att_i + 1e-15 else (j, i)
         alpha[keep] = alpha[keep] + alpha[drop]
-        pattern, alpha_t = _drop_vertices(pattern, alpha, {drop})
-        alpha = list(alpha_t)
+        live = [v for v in range(pattern.r) if v != drop]
+        pattern, alpha = pattern.induced(live), [alpha[v] for v in live]
         q_now = core.q_value(
             core.FeasibleTriple(pattern, tuple(alpha), level=0)
         ).numeric_value

@@ -3,8 +3,8 @@
 The objective is an indefinite quadratic form, so local maxima abound; we
 enumerate every support, solve the stationarity (KKT) system on it, and take
 the global maximum over all admissible stationary points, simplex vertices
-and the uniform point.  A random-restart projected-gradient pass serves as an
-internal cross-check.
+and the uniform point.  On request (`cross_check=True`), a random-restart
+projected-gradient pass adds its point as a further candidate.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def optimize_weights(
     k: core.ColourSeq,
     *,
     rng_seed: int = 20240,
-    cross_check: bool = True,
+    cross_check: bool = False,
 ) -> WeightOptimum:
     r = pattern.r
     if r > 16:

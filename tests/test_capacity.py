@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from erlab import capacity, constructions, core
+from erlab import capacity, constructions, core, oracle
 from erlab.graphs import SimpleGraph, complete_graph, turan_graph
 
 
@@ -51,6 +51,46 @@ def test_capacity_matches_blowup_oracle_randomised():
             continue
         vec = tuple(rng.randint(1, 3) for _ in range(n))
         assert cap.contains(vec) == capacity.capacity_member_bruteforce(g, k, vec)
+
+
+def test_capacity_antichain_matches_naive_maxima():
+    # the vectors of entries below k whose sums over every clique (vertex
+    # subsets checked edge by edge) stay below k form a downward-closed set,
+    # so its maximal elements are those with no entry that can be raised;
+    # they must be exactly the listed antichain
+    for n in range(1, 6):
+        for edges in oracle.graph_classes(n):
+            g = SimpleGraph(n, edges)
+            cliques = [
+                sub
+                for size in range(1, n + 1)
+                for sub in itertools.combinations(range(n), size)
+                if all(g.has_edge(u, v) for u, v in itertools.combinations(sub, 2))
+            ]
+            omega = max(len(c) for c in cliques)
+            for k in range(omega + 1, 7):
+                feasible = {
+                    vec
+                    for vec in itertools.product(range(1, k), repeat=n)
+                    if all(sum(vec[u] for u in c) <= k - 1 for c in cliques)
+                }
+                maxima = {
+                    vec
+                    for vec in feasible
+                    if not any(
+                        vec[:i] + (vec[i] + 1,) + vec[i + 1 :] in feasible for i in range(n)
+                    )
+                }
+                cap = capacity.capacity(g, k)
+                if cap.kind == "ExplicitAntichain":
+                    assert set(cap.max_vectors) == maxima, (edges, k)
+                    assert list(cap.max_vectors) == sorted(maxima)
+                elif cap.kind == "OnlyOnes":
+                    assert maxima == {(1,) * n}, (edges, k)
+                else:
+                    assert maxima == {
+                        vec for vec in feasible if sum(vec) == k - 1
+                    }, (edges, k)
 
 
 def test_capacity_downward_closed():

@@ -110,6 +110,23 @@ def test_clone_status_cases():
         core.clone_status(p, 1, 1)
 
 
+def test_induced_keeps_order_and_drops_touching_pairs():
+    p = core.ColourPattern(
+        4, {(0, 1): {1}, (0, 2): {2}, (0, 3): {1, 2}, (1, 2): {1, 3}, (1, 3): {3}, (2, 3): {2, 3}}
+    )
+    # vertex 1 goes; 3, 0, 2 become 0, 1, 2 in that order
+    sub = p.induced([3, 0, 2])
+    assert sub.r == 3
+    assert sub.assignment == {
+        (0, 1): frozenset({1, 2}),
+        (0, 2): frozenset({2, 3}),
+        (1, 2): frozenset({2}),
+    }
+    assert p.induced([1, 3]).assignment == {(0, 1): frozenset({3})}
+    assert p.induced(range(4)) == p
+    assert p.induced([]).r == 0
+
+
 def test_merge_clones_preserves_q():
     p = core.ColourPattern(3, {(0, 1): set(), (0, 2): {1, 2}, (1, 2): {1, 2}})
     t = core.FeasibleTriple(p, (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))

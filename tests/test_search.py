@@ -130,6 +130,21 @@ def test_solve_q2_budget_exhaustion_is_reported():
     assert not all(res.exhaustive.values())
 
 
+def test_budget_counts_no_node_past_its_limit():
+    # a refused node is not counted, and the exhaustiveness flags mark the
+    # level where the budget ran out
+    k = core.validate_sequence([4, 3, 3])
+    for budget, exhaustive in [
+        (1, {2: True, 3: False, 4: False, 5: False}),
+        (7, {2: True, 3: False, 4: False, 5: False}),
+        (50, {2: True, 3: False, 4: False, 5: False}),
+        (333, {2: True, 3: True, 4: True, 5: False}),
+    ]:
+        res = search.solve_Q2(k, 5, budget=budget)
+        assert res.nodes <= budget
+        assert res.exhaustive == exhaustive
+
+
 def test_verify_candidate_detects_wrong_claims():
     from fractions import Fraction
 
