@@ -181,35 +181,37 @@ def canonical_matrix_code(r: int, matrices) -> bytes:
 
     Position i takes a vertex from the cell holding it; every later cell is
     then split by its entry against that vertex, ascending, as minimality
-    forces, so row i is known once position i is filled.  Only the least
-    rows are followed, and a prefix above the best code is pruned.
+    forces, so row i is known once position i is filled.  The search runs
+    level by level: every node of the frontier is expanded and only the
+    children whose row is the least of the level are kept.  A node is a
+    matrix and its cells, which alone fix the subtree below it, so equal
+    nodes reached by different prefixes are kept once; this keeps matrices
+    with many automorphisms from costing r! orders.
     """
-    best = None
-
-    def search(m, code: bytes, cells: list, left: int):
-        nonlocal best
-        if left <= 1:
-            best = code
-            return
-        children = []
-        for v in cells[0]:
-            split, row = [], []
-            for cell in ([x for x in cells[0] if x != v], *cells[1:]):
-                groups: dict = {}
-                for x in cell:
-                    groups.setdefault(m[v][x], []).append(x)
-                for value in sorted(groups):
-                    split.append(groups[value])
-                    row += [value] * len(groups[value])
-            children.append((code + bytes(row), split))
-        low = min(child for child, _ in children)
-        for child, split in children:
-            if child == low and (best is None or child <= best[: len(child)]):
-                search(m, child, split, left - 1)
-
-    for m in matrices:
-        search(m, b"", [list(range(r))], r)
-    return best
+    matrices = list(matrices)
+    frontier = {(index, (tuple(range(r)),)) for index in range(len(matrices))}
+    code = b""
+    for _ in range(r - 1):
+        low, kept = None, set()
+        for index, (first, *rest) in frontier:
+            m = matrices[index]
+            for v in first:
+                split, row = [], []
+                for cell in (tuple(x for x in first if x != v), *rest):
+                    groups: dict = {}
+                    for x in cell:
+                        groups.setdefault(m[v][x], []).append(x)
+                    for value in sorted(groups):
+                        split.append(tuple(groups[value]))
+                        row += [value] * len(groups[value])
+                row = bytes(row)
+                if low is None or row < low:
+                    low, kept = row, set()
+                if row == low:
+                    kept.add((index, tuple(split)))
+        code += low
+        frontier = kept
+    return code
 
 
 def graph_to_json(g: SimpleGraph) -> dict:

@@ -28,16 +28,10 @@ def count_valid_colourings(g: SimpleGraph, k: core.ColourSeq) -> int:
     if (s == 2 and e > 24) or (s > 2 and s**e > 10**8):
         raise TooLarge(f"{s}^{e} colourings is beyond the brute-force guard")
     edges = sorted(g.edges)
-    colour_adj = {c: [0] * g.n for c in k.colours()}
+    # per colour: its adjacency masks and the clique order a new edge's
+    # common neighbourhood must not contain, k_c - 2
+    colour_plan = [([0] * g.n, k[c] - 2) for c in k.colours()]
     count = 0
-
-    def creates_clique(c: int, u: int, v: int) -> bool:
-        adj = colour_adj[c]
-        common = adj[u] & adj[v]
-        need = k[c] - 2
-        if need == 1:
-            return common != 0
-        return has_clique(adj, need, common) is not None
 
     def dfs(idx: int):
         nonlocal count
@@ -45,14 +39,16 @@ def count_valid_colourings(g: SimpleGraph, k: core.ColourSeq) -> int:
             count += 1
             return
         u, v = edges[idx]
-        for c in k.colours():
-            if creates_clique(c, u, v):
+        bu, bv = 1 << u, 1 << v
+        for adj, need in colour_plan:
+            common = adj[u] & adj[v]
+            if common and (need == 1 or has_clique(adj, need, common) is not None):
                 continue
-            colour_adj[c][u] |= 1 << v
-            colour_adj[c][v] |= 1 << u
+            adj[u] |= bv
+            adj[v] |= bu
             dfs(idx + 1)
-            colour_adj[c][u] &= ~(1 << v)
-            colour_adj[c][v] &= ~(1 << u)
+            adj[u] &= ~bv
+            adj[v] &= ~bu
 
     dfs(0)
     return count

@@ -36,24 +36,30 @@ class SearchResult:
 
 
 @functools.lru_cache(maxsize=32)
-def _colour_perms(k: core.ColourSeq) -> list:
-    """Colour permutations preserving the clique-order sequence."""
+def _mask_images(k: core.ColourSeq) -> list:
+    """One translation table per colour permutation preserving the
+    clique-order sequence: byte x is the image of colour mask x (masks have
+    s <= 8 bits, as the codes are bytes)."""
     colours = list(k.colours())
-    images = itertools.permutations(colours)
-    return [dict(zip(colours, p)) for p in images if all(k[c] == k[d] for c, d in zip(colours, p))]
+    tables = []
+    for image in itertools.permutations(colours):
+        if all(k[c] == k[d] for c, d in zip(colours, image)):
+            table = bytearray(256)
+            for mask in range(1 << k.s):
+                table[mask] = sum(1 << (d - 1) for c, d in zip(colours, image) if mask >> (c - 1) & 1)
+            tables.append(bytes(table))
+    return tables
 
 
 def canonical_code(pattern: core.ColourPattern, k: core.ColourSeq) -> bytes:
     """Least code of the colour-mask matrix over vertex orders and colour
     relabellings within blocks of equal clique order."""
     r = pattern.r
-    matrices = set()
-    for cmap in _colour_perms(k):
-        mask = {cs: sum(1 << (cmap[c] - 1) for c in cs) for cs in set(pattern.assignment.values())}
-        m = [[0] * r for _ in range(r)]
-        for (i, j), cs in pattern.assignment.items():
-            m[i][j] = m[j][i] = mask[cs]
-        matrices.add(tuple(map(tuple, m)))
+    m = [bytearray(r) for _ in range(r)]
+    for (i, j), cs in pattern.assignment.items():
+        m[i][j] = m[j][i] = sum(1 << (c - 1) for c in cs)
+    rows = [bytes(row) for row in m]
+    matrices = {tuple(row.translate(table) for row in rows) for table in _mask_images(k)}
     return canonical_matrix_code(r, matrices)
 
 

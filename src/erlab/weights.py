@@ -9,6 +9,7 @@ projected-gradient pass adds its point as a further candidate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -71,12 +72,21 @@ def _projected_gradient(a: np.ndarray, x: np.ndarray, iters: int = 400) -> np.nd
     return x
 
 
-def _stationary_on_support(a: np.ndarray, support: tuple) -> np.ndarray | None:
-    """Solve A_S alpha = lambda 1, sum alpha = 1 with one refinement step."""
-    m = len(support)
-    sub = a[np.ix_(support, support)]
+# Distinct support sub-matrices are few (their entries are log2 of small
+# multiplicities), so their solves are shared across patterns.
+_SUPPORT_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_SUPPORT_CACHE_SIZE)
+def _support_solve(m: int, entries: bytes) -> np.ndarray | None:
+    """Solve A_S alpha = lambda 1, sum alpha = 1 with one refinement step,
+    for the m x m sub-matrix A_S given by its float64 bytes.
+
+    Returns alpha clipped at 0, read-only as the cache shares it, or None
+    when the system is inconsistent or alpha has a negative entry.
+    """
     sys = np.zeros((m + 1, m + 1))
-    sys[:m, :m] = sub
+    sys[:m, :m] = np.frombuffer(entries).reshape(m, m)
     sys[:m, m] = -1.0
     sys[m, :m] = 1.0
     rhs = np.zeros(m + 1)
@@ -96,8 +106,18 @@ def _stationary_on_support(a: np.ndarray, support: tuple) -> np.ndarray | None:
     alpha = sol[:m]
     if np.any(alpha < -1e-10):
         return None
+    alpha = np.clip(alpha, 0, None)
+    alpha.flags.writeable = False
+    return alpha
+
+
+def _stationary_on_support(a: np.ndarray, support: tuple) -> np.ndarray | None:
+    """The stationary point on `support` as an r-vector, or None."""
+    alpha = _support_solve(len(support), a[np.ix_(support, support)].tobytes())
+    if alpha is None:
+        return None
     full = np.zeros(a.shape[0])
-    full[list(support)] = np.clip(alpha, 0, None)
+    full[list(support)] = alpha
     ssum = full.sum()
     if not math.isclose(ssum, 1.0, rel_tol=0, abs_tol=1e-8):
         return None

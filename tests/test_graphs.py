@@ -109,3 +109,40 @@ def test_has_clique_returns_least_clique_within_mask():
             if all(g.has_edge(u, v) for u, v in itertools.combinations(sub, 2))
         ]
         assert has_clique(g.adjacency_masks(), k, within) == (cliques[0] if cliques else None)
+
+
+def test_canonical_matrix_code_on_highly_symmetric_matrices():
+    # matrices with large automorphism groups, several passed at once, against
+    # the least code over every vertex order
+    def all_equal(r):
+        return [[0 if i == j else 1 for j in range(r)] for i in range(r)]
+
+    def k33_plus_k1(order):
+        side = {v: i for i, v in enumerate(order)}
+        return [
+            [int(a != b and a < 6 and b < 6 and (side[a] < 3) != (side[b] < 3)) for b in range(7)]
+            for a in range(7)
+        ]
+
+    def two_orbits(r, split):
+        orbit = [int(v >= split) for v in range(r)]
+        return [
+            [0 if i == j else 1 + orbit[i] + orbit[j] for j in range(r)] for i in range(r)
+        ]
+
+    def least(r, matrices):
+        return min(
+            bytes(m[o[a]][o[b]] for a, b in itertools.combinations(range(r), 2))
+            for m in matrices
+            for o in itertools.permutations(range(r))
+        )
+
+    rng = random.Random(13)
+    cases = [(r, [all_equal(r)]) for r in range(8)]
+    cases += [(7, [k33_plus_k1(rng.sample(range(6), 6)) for _ in range(3)])]
+    cases += [(7, [k33_plus_k1(range(6)), all_equal(7)])]
+    cases += [(r, [two_orbits(r, s) for s in range(r + 1)]) for r in range(1, 8)]
+    cases += [(6, [two_orbits(6, 3), all_equal(6), two_orbits(6, 2)])]
+    for r, matrices in cases:
+        assert canonical_matrix_code(r, matrices) == least(r, matrices), r
+    assert canonical_matrix_code(8, [all_equal(8)]) == bytes([1] * 28)

@@ -32,6 +32,15 @@ def test_count_matches_independent_brute_force():
         assert oracle.count_valid_colourings(g, k) == brute_force_count(g, k)
 
 
+def test_count_matches_product_brute_force_on_every_class():
+    for entries in [(3, 3), (4, 3), (3, 3, 3)]:
+        k = core.validate_sequence(entries)
+        for n in range(1, 6):
+            for edges in oracle.graph_classes(n):
+                g = SimpleGraph(n, edges)
+                assert oracle.count_valid_colourings(g, k) == brute_force_count(g, k), (entries, g)
+
+
 def test_count_k4_two_colours():
     # frozen from the independent brute force: of the 2^6 colourings of K_4,
     # exactly 18 avoid a monochromatic triangle

@@ -3,10 +3,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from conftest import random_pattern
 
-from erlab import constructions, core, weights
+from erlab import constructions, core, search, weights
 
 
 def grid_maximum(pattern, steps):
@@ -99,3 +100,29 @@ def test_cross_check_agrees_with_support_enumeration():
         assert math.isclose(
             a.value.numeric_value, b.value.numeric_value, abs_tol=1e-9
         )
+
+
+def test_support_solve_memo_gives_equal_results_cold_and_warm():
+    rng = random.Random(8)
+    cases = []
+    for entries in [(3, 3, 3), (4, 3, 3), (3, 3, 3, 3)]:
+        k = core.validate_sequence(entries)
+        t = constructions.known_optimum(k) or search.solve_Q2(k, 4).optima[0]
+        cases.append((k, t.pattern))
+    while len(cases) < 15:
+        k = core.validate_sequence(rng.choice([(3, 3, 3), (4, 3, 3), (4, 4)]))
+        pattern = random_pattern(rng, rng.randint(2, 5), k, level=2)
+        if pattern is not None:
+            cases.append((k, pattern))
+
+    def fields(opt):
+        return (opt.weighting, opt.support, opt.value.numeric_value, opt.stationarity_residual)
+
+    weights._support_solve.cache_clear()
+    cold = [fields(weights.optimize_weights(p, k)) for k, p in cases]
+    assert weights._support_solve.cache_info().hits > 0
+    warm = [fields(weights.optimize_weights(p, k)) for k, p in reversed(cases)]
+    assert cold == warm[::-1]
+    shared = weights._support_solve(2, np.array([[0.0, 1.0], [1.0, 0.0]]).tobytes())
+    with pytest.raises(ValueError):
+        shared[0] = 0.0
