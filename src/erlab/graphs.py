@@ -195,9 +195,9 @@ def canonical_matrix_code(r: int, matrices) -> bytes:
         low, kept = None, set()
         for index, (first, *rest) in frontier:
             m = matrices[index]
-            for v in first:
+            for at, v in enumerate(first):
                 split, row = [], []
-                for cell in (tuple(x for x in first if x != v), *rest):
+                for cell in (first[:at] + first[at + 1 :], *rest):
                     groups: dict = {}
                     for x in cell:
                         groups.setdefault(m[v][x], []).append(x)
