@@ -3,8 +3,10 @@
 The objective is an indefinite quadratic form, so local maxima abound; we
 enumerate every support, solve the stationarity (KKT) system on it, and take
 the global maximum over all admissible stationary points, simplex vertices
-and the uniform point.  On request (`cross_check=True`), a random-restart
-projected-gradient pass adds its point as a further candidate.
+and the uniform point.  The system on a support depends only on the support
+sub-matrix, so each distinct one is solved once per process (a bounded
+cache).  Only on request (`cross_check=True`; off by default) does a
+random-restart projected-gradient pass add its point as a further candidate.
 """
 
 from __future__ import annotations
