@@ -8,6 +8,7 @@ failure, 1 on usage or domain errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -328,7 +329,10 @@ def _cmd_tables(args) -> tuple:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The `er-lab` parser, built once per process; parse_args keeps no state
+    between calls."""
     parser = _Parser(prog="er-lab", description=__doc__)
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=["json", "tsv"], default="json")
@@ -425,7 +429,7 @@ def run(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except core.ErlabError as exc:
-        report = _report("error", {}, {"error": type(exc).__name__, "message": str(exc)})
+        report = _report("error", vars(args), {"error": type(exc).__name__, "message": str(exc)})
         print(json.dumps(report, indent=2, sort_keys=True))
         return 1
     except FileNotFoundError as exc:

@@ -107,14 +107,29 @@ def max_clique(g: SimpleGraph) -> tuple[int, list[int]]:
 
 
 def has_clique(adj: list[int], k: int, within: int | None = None) -> list[int] | None:
-    """A clique of size k in the bitmask adjacency, inside the vertex mask
-    `within` (every vertex by default), or None.
+    """The lexicographically least clique of size k in the bitmask
+    adjacency, inside the vertex mask `within` (every vertex by default), or
+    None.
 
-    Cheap incremental check used while growing colour graphs: k is small
-    (clique orders are at least 3 and rarely above 6).
+    Cheap incremental check used while growing colour graphs, where most
+    calls ask for a vertex or an edge inside a mask of a few vertices: k <= 2
+    is a plain bit scan (the least vertex of the mask; the least vertex with
+    a later neighbour in the mask, and its least such neighbour), and only
+    k >= 3 builds the recursive search.
     """
     if k <= 0:
         return []
+    cand = (1 << len(adj)) - 1 if within is None else within
+    if k == 1:
+        return [(cand & -cand).bit_length() - 1] if cand else None
+    if k == 2:
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            later = cand & adj[v]
+            if later:
+                return [v, (later & -later).bit_length() - 1]
+        return None
 
     def grow(clique: list[int], cand_mask: int) -> list[int] | None:
         if len(clique) == k:
@@ -130,7 +145,7 @@ def has_clique(adj: list[int], k: int, within: int | None = None) -> list[int] |
                     return found
         return None
 
-    return grow([], (1 << len(adj)) - 1 if within is None else within)
+    return grow([], cand)
 
 
 def maximal_cliques(g: SimpleGraph) -> list[list[int]]:
@@ -183,7 +198,9 @@ def canonical_matrix_code(r: int, matrices) -> bytes:
     then split by its entry against that vertex, ascending, as minimality
     forces, so row i is known once position i is filled.  The search runs
     level by level: every node of the frontier is expanded and only the
-    children whose row is the least of the level are kept.  A node is a
+    children whose row is the least of the level are kept.  A child's row is
+    its entries sorted within each cell, read before any split, so only the
+    children that tie the least row so far get their cells split.  A node is a
     matrix and its cells, which alone fix the subtree below it, so equal
     nodes reached by different prefixes are kept once; this keeps matrices
     with many automorphisms from costing r! orders.
@@ -195,20 +212,22 @@ def canonical_matrix_code(r: int, matrices) -> bytes:
         low, kept = None, set()
         for index, (first, *rest) in frontier:
             m = matrices[index]
-            for at, v in enumerate(first):
-                split, row = [], []
-                for cell in (first[:at] + first[at + 1 :], *rest):
-                    groups: dict = {}
-                    for x in cell:
-                        groups.setdefault(m[v][x], []).append(x)
-                    for value in sorted(groups):
-                        split.append(tuple(groups[value]))
-                        row += [value] * len(groups[value])
-                row = bytes(row)
+            for v in first:
+                mv = m[v]
+                row = bytes(sorted([mv[x] for x in first if x != v]))
+                for cell in rest:
+                    row += bytes(sorted([mv[x] for x in cell]))
                 if low is None or row < low:
                     low, kept = row, set()
-                if row == low:
-                    kept.add((index, tuple(split)))
+                elif row != low:
+                    continue
+                split = []
+                for cell in ([x for x in first if x != v], *rest):
+                    groups: dict = {}
+                    for x in cell:
+                        groups.setdefault(mv[x], []).append(x)
+                    split += [tuple(groups[value]) for value in sorted(groups)]
+                kept.add((index, tuple(split)))
         code += low
         frontier = kept
     return code

@@ -201,3 +201,47 @@ def test_bad_graph_is_a_usage_error(tmp_path, capsys, graph, argv):
     path = tmp_path / "bad_graph.json"
     path.write_text(json.dumps(graph))
     assert _usage_error(capsys, argv + ["--graph", str(path)])
+
+
+def _report_without_timing(capsys, argv, fresh=False):
+    if fresh:
+        cli.build_parser.cache_clear()
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out) if captured.out else None
+    if report is not None:
+        report.pop("timing")
+    return code, report, captured.err
+
+
+def test_successive_runs_share_no_parser_state(capsys):
+    # the parser is built once per process; each run must still give the
+    # report of a run in a fresh process
+    twice = ["lp", "--k", "3,3", "--constraint", "T=2:cap=3", "--constraint", "T=2:cap=4"]
+    sequences = [
+        [twice, ["lp", "--k", "3,3"], twice],
+        [["q2", "--k", "3,3", "--rmax", "x"], ["q2", "--k", "3,3", "--rmax", "3"]],
+        [["nonsense"], ["lp", "--k", "3,3", "--bare"]],
+    ]
+    outcomes = []
+    for sequence in sequences:
+        fresh = [_report_without_timing(capsys, argv, fresh=True) for argv in sequence]
+        cli.build_parser.cache_clear()
+        shared = [_report_without_timing(capsys, argv) for argv in sequence]
+        assert shared == fresh
+        outcomes.append(shared)
+    assert len(outcomes[0][0][1]["results"]["constraints"]) == 2
+    assert outcomes[0][1][1]["results"]["constraints"] == []  # (3,3) recommends none
+    for usage_error, valid in outcomes[1:]:
+        assert usage_error[0] == 1 and usage_error[2].startswith("usage error")
+        assert valid[0] == 0 and valid[1]["command"] in ("q2", "lp")
+
+
+def test_error_report_names_subcommand_and_inputs(capsys):
+    code, out = run_cli(capsys, ["q2", "--k", "3,3", "--rmax", "0"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["command"] == "error"
+    assert report["inputs"] == {
+        "subcommand": "q2", "k": "3,3", "rmax": 0, "budget": 10**8, "format": "json"
+    }

@@ -146,3 +146,56 @@ def test_canonical_matrix_code_on_highly_symmetric_matrices():
     for r, matrices in cases:
         assert canonical_matrix_code(r, matrices) == least(r, matrices), r
     assert canonical_matrix_code(8, [all_equal(8)]) == bytes([1] * 28)
+
+
+def _least_clique(g, k, within):
+    allowed = [v for v in range(g.n) if within is None or within >> v & 1]
+    for sub in itertools.combinations(allowed, k):
+        if all(g.has_edge(u, v) for u, v in itertools.combinations(sub, 2)):
+            return list(sub)
+    return None
+
+
+def test_has_clique_small_orders_edge_cases():
+    # k <= 2 is a bit scan; it must give the brute force's least clique
+    rng = random.Random(48)
+    path = SimpleGraph(4, frozenset({(1, 2), (2, 3)}))
+    cases = [
+        (SimpleGraph(0), k, within) for k in range(4) for within in (None, 0)
+    ]
+    cases += [(path, k, within) for k in range(4) for within in (None, 0, 0b1111)]
+    # single-vertex masks
+    cases += [(path, k, 1 << v) for k in range(4) for v in range(4)]
+    # the least vertex of the mask has no later neighbour inside it
+    cases += [(path, 2, 0b1101), (path, 2, 0b1011), (path, 2, 0b1001), (path, 2, 0b0111)]
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 8), rng.random())
+        within = rng.choice([None, 0, rng.getrandbits(g.n)])
+        if g.n and rng.random() < 0.3:
+            within = 1 << rng.randrange(g.n)
+        cases.append((g, rng.randint(0, 2), within))
+    for g, k, within in cases:
+        assert has_clique(g.adjacency_masks(), k, within) == _least_clique(g, k, within), (g, k, within)
+    assert has_clique(path.adjacency_masks(), 2, 0b1101) == [2, 3]
+    assert has_clique(path.adjacency_masks(), 2, 0b1001) is None
+
+
+def test_canonical_matrix_code_with_frequent_row_ties():
+    # entries from a 2-letter alphabet, several matrices per call, so that
+    # many candidates tie the least row and the refined cells decide
+    rng = random.Random(14)
+    for _ in range(300):
+        r = rng.randint(0, 6)
+        letters = rng.sample(range(1, 5), 2)
+        matrices = []
+        for _ in range(rng.randint(2, 4)):
+            m = [[0] * r for _ in range(r)]
+            for i, j in itertools.combinations(range(r), 2):
+                m[i][j] = m[j][i] = rng.choice(letters)
+            matrices.append(m)
+        least = min(
+            bytes(m[o[a]][o[b]] for a, b in itertools.combinations(range(r), 2))
+            for m in matrices
+            for o in itertools.permutations(range(r))
+        )
+        assert canonical_matrix_code(r, matrices) == least
