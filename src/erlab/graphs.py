@@ -200,10 +200,11 @@ def canonical_matrix_code(r: int, matrices) -> bytes:
     level by level: every node of the frontier is expanded and only the
     children whose row is the least of the level are kept.  A child's row is
     its entries sorted within each cell, read before any split, so only the
-    children that tie the least row so far get their cells split.  A node is a
-    matrix and its cells, which alone fix the subtree below it, so equal
-    nodes reached by different prefixes are kept once; this keeps matrices
-    with many automorphisms from costing r! orders.
+    children that tie the least row so far get their cells split (a cell of
+    one vertex or one entry value is kept whole).  A node is a matrix and its
+    cells, which alone fix the subtree below it, so equal nodes reached by
+    different prefixes are kept once; this keeps matrices with many
+    automorphisms from costing r! orders.
     """
     matrices = list(matrices)
     frontier = {(index, (tuple(range(r)),)) for index in range(len(matrices))}
@@ -214,19 +215,28 @@ def canonical_matrix_code(r: int, matrices) -> bytes:
             m = matrices[index]
             for v in first:
                 mv = m[v]
-                row = bytes(sorted([mv[x] for x in first if x != v]))
+                row = sorted([mv[x] for x in first if x != v])
                 for cell in rest:
-                    row += bytes(sorted([mv[x] for x in cell]))
+                    if len(cell) == 1:
+                        row.append(mv[cell[0]])
+                    else:
+                        row += sorted([mv[x] for x in cell])
+                row = bytes(row)
                 if low is None or row < low:
                     low, kept = row, set()
                 elif row != low:
                     continue
                 split = []
-                for cell in ([x for x in first if x != v], *rest):
-                    groups: dict = {}
-                    for x in cell:
-                        groups.setdefault(mv[x], []).append(x)
-                    split += [tuple(groups[value]) for value in sorted(groups)]
+                for cell in (tuple([x for x in first if x != v]), *rest):
+                    if len(cell) > 1:
+                        groups: dict = {}
+                        for x in cell:
+                            groups.setdefault(mv[x], []).append(x)
+                        if len(groups) > 1:
+                            split += [tuple(groups[value]) for value in sorted(groups)]
+                            continue
+                    if cell:  # one vertex, or one entry value: the cell stays whole
+                        split.append(cell)
                 kept.add((index, tuple(split)))
         code += low
         frontier = kept

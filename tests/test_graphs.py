@@ -175,7 +175,8 @@ def test_has_clique_small_orders_edge_cases():
             within = 1 << rng.randrange(g.n)
         cases.append((g, rng.randint(0, 2), within))
     for g, k, within in cases:
-        assert has_clique(g.adjacency_masks(), k, within) == _least_clique(g, k, within), (g, k, within)
+        witness = has_clique(g.adjacency_masks(), k, within)
+        assert witness == _least_clique(g, k, within), (g, k, within)
     assert has_clique(path.adjacency_masks(), 2, 0b1101) == [2, 3]
     assert has_clique(path.adjacency_masks(), 2, 0b1001) is None
 
