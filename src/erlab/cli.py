@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -430,7 +431,7 @@ def run(argv) -> int:
         return 1
     except core.ErlabError as exc:
         report = _report("error", vars(args), {"error": type(exc).__name__, "message": str(exc)})
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _emit(report, args.format)
         return 1
     except FileNotFoundError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -438,7 +439,15 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output early; point it at devnull so
+        # that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -161,8 +161,7 @@ def constraint_validity_scan(
     """
     tracker = search._Budget(budget)
     exhaustive = True
-    for r in range(2, r_max + 1):
-        reps, completed = search.enumerate_patterns(r, k, tracker)
+    for _, (reps, completed) in zip(range(2, r_max + 1), search.pattern_levels(k, tracker)):
         exhaustive = exhaustive and completed
         for rep in reps:
             h = multiplicity_graph(rep.pattern, con.T)

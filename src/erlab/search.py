@@ -80,13 +80,13 @@ class _Budget:
         return True
 
 
-def enumerate_patterns(r: int, k: core.ColourSeq, budget: _Budget | None = None):
-    """One representative per isomorphism class of the level-2 patterns.
+def pattern_levels(k: core.ColourSeq, budget: _Budget | None = None):
+    """Yield (reps, completed) for r = 2, 3, ...: one CanonicalPattern per
+    isomorphism class of the level-2 patterns on r vertices, sorted by code.
 
-    Returns (list of CanonicalPattern, completed flag).
+    Level r + 1 extends the level-r representatives in the order they were
+    found.  Nothing follows a level that the budget cut short.
     """
-    if r < 2:
-        raise core.ErlabError("enumeration needs r >= 2")
     subsets = core.colour_subsets(k.s, 2)
     level: dict[bytes, core.ColourPattern] = {}
     for cs in subsets:
@@ -95,17 +95,29 @@ def enumerate_patterns(r: int, k: core.ColourSeq, budget: _Budget | None = None)
         if ok:
             level.setdefault(canonical_code(p, k), p)
     completed = True
-    for _ in range(2, r):
+    while True:
+        yield [CanonicalPattern(p, code) for code, p in sorted(level.items())], completed
+        if not completed:
+            return
         nxt: dict[bytes, core.ColourPattern] = {}
         for base in level.values():
             for row in core.attachment_rows(base, k, subsets, budget):
                 p = base.attach(row)
                 nxt.setdefault(canonical_code(p, k), p)
         level = nxt
-        if budget is not None and budget.refused:
-            completed = False
-            break
-    reps = [CanonicalPattern(p, code) for code, p in sorted(level.items())]
+        completed = budget is None or not budget.refused
+
+
+def enumerate_patterns(r: int, k: core.ColourSeq, budget: _Budget | None = None):
+    """The level-r entry of `pattern_levels`, or the level where the budget
+    ran out.
+
+    Returns (list of CanonicalPattern, completed flag).
+    """
+    if r < 2:
+        raise core.ErlabError("enumeration needs r >= 2")
+    for reps, completed in itertools.islice(pattern_levels(k, budget), r - 1):
+        pass
     return reps, completed
 
 
@@ -127,8 +139,7 @@ def solve_Q2(
     best_numeric = -1.0
     optima: dict[bytes, core.FeasibleTriple] = {}
     exhaustive = {}
-    for r in range(2, r_max + 1):
-        reps, completed = enumerate_patterns(r, k, tracker)
+    for r, (reps, completed) in zip(range(2, r_max + 1), pattern_levels(k, tracker)):
         exhaustive[r] = completed
         for rep in reps:
             if prune and best_numeric > 0:

@@ -7,6 +7,11 @@ and the uniform point.  The system on a support depends only on the support
 sub-matrix, so each distinct one is solved once per process (a bounded
 cache).  Only on request (`cross_check=True`; off by default) does a
 random-restart projected-gradient pass add its point as a further candidate.
+
+q depends on a pattern only through its pair multiplicities |phi(ij)|; the
+colours matter only for feasibility.  So after the feasibility check the
+optimum is memoised on the multiplicities in pair order (a second bounded
+cache): the patterns of a search share few of them.
 """
 
 from __future__ import annotations
@@ -154,6 +159,22 @@ def optimize_weights(
     ok, witness = core.is_feasible(pattern, k, level=1)
     if not ok:
         raise InfeasiblePattern(f"pattern infeasible for {k}: {witness}")
+    mults = tuple((p, len(cs)) for p, cs in pattern.assignment.items())
+    return _optimum(r, mults, rng_seed, cross_check)
+
+
+# Patterns of one search share few multiplicity patterns, so each optimum
+# is computed once per process.
+_OPTIMUM_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_OPTIMUM_CACHE_SIZE)
+def _optimum(r: int, mults: tuple, rng_seed: int, cross_check: bool) -> WeightOptimum:
+    """The optimum for any pattern whose pairs, in `mults` order, carry the
+    given multiplicities, computed on a stand-in with colours 0..m-1: q sees
+    nothing else of the colours.  The pair order is part of the key because
+    q sums its float terms in that order."""
+    pattern = core.ColourPattern(r, {p: range(m) for p, m in mults})
     if r == 1:
         w = (Fraction(1),)
         triple = core.FeasibleTriple(pattern, w, level=1)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -245,3 +248,33 @@ def test_error_report_names_subcommand_and_inputs(capsys):
     assert report["inputs"] == {
         "subcommand": "q2", "k": "3,3", "rmax": 0, "budget": 10**8, "format": "json"
     }
+
+
+def test_error_report_follows_format(capsys):
+    code, out = run_cli(capsys, ["q2", "--k", "3,3", "--rmax", "0", "--format", "tsv"])
+    assert code == 1
+    lines = dict(line.split("\t", 1) for line in out.strip().splitlines())
+    assert lines["command"] == "error"
+    assert lines["results.error"] == "ErlabError"
+    assert lines["inputs.subcommand"] == "q2" and lines["inputs.format"] == "tsv"
+
+
+@pytest.mark.parametrize(
+    "argv", [["tables", "--format", "tsv"], ["q2", "--k", "3,3", "--rmax", "0"]], ids=["tables", "error"]
+)
+def test_closed_stdout_gives_no_traceback(argv):
+    # the console entry point with a reader that has already gone: every
+    # write to standard output fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from erlab.cli import main; main()", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr, proc.stderr

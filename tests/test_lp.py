@@ -78,6 +78,30 @@ def test_constraint_validity_scan():
     assert not valid and counter is not None
 
 
+def test_constraint_validity_scan_counterexamples_are_pinned():
+    # recorded when every r re-enumerated its levels from scratch; the scan
+    # now walks each level once and must find the same first counterexample
+    for entries, T, kprime, r_max, pairs in [
+        ((3, 3, 3, 3), {2, 3, 4}, 3, 4, {(0, 1): {1, 2}, (0, 2): {1, 2}, (1, 2): {3, 4}}),
+        ((4, 4, 4), {2}, 3, 5, {(0, 1): {1, 2}, (0, 2): {1, 2}, (1, 2): {1, 2}}),
+        ((3, 3, 3), {2, 3}, 3, 6, {(0, 1): {1, 2}, (0, 2): {1, 3}, (1, 2): {2, 3}}),
+        ((5, 4, 3), {2, 3}, 4, 4, {
+            (0, 1): {1, 2}, (0, 2): {1, 2}, (1, 2): {1, 2},
+            (0, 3): {1, 2}, (1, 3): {1, 2}, (2, 3): {1, 3},
+        }),
+    ]:
+        k = core.validate_sequence(entries)
+        con = lp.Constraint(frozenset(T), kprime)
+        valid, counter, exhaustive = lp.constraint_validity_scan(con, k, r_max)
+        assert not valid and exhaustive
+        expected = core.ColourPattern(max(max(p) for p in pairs) + 1, pairs)
+        assert list(counter.assignment.items()) == list(expected.assignment.items())
+    for entries, T, kprime in [((4, 3), {2}, 3), ((4, 4, 3), {3}, 3)]:
+        k = core.validate_sequence(entries)
+        con = lp.Constraint(frozenset(T), kprime)
+        assert lp.constraint_validity_scan(con, k, 5) == (True, None, True)
+
+
 def test_sandwich_certificates_exact():
     for entries in [(3, 3), (6, 3), (5, 5, 5), (3, 3, 3, 3), (4, 4, 4, 4)]:
         k = core.validate_sequence(entries)

@@ -201,13 +201,57 @@ def test_attachment_rows_match_brute_force():
 
 
 def test_search_counters_are_pinned():
-    # nodes (one per candidate colour set) and classes per level, recorded
-    # with the earlier full clique test per entry: the kernel must not
-    # change the budget accounting
+    # nodes (one per candidate colour set) and classes per level; the nodes
+    # were re-recorded when each level came to be enumerated once per
+    # search (22,968 and 3,448 while every r rebuilt levels 2..r-1)
     for entries, r_max, nodes, classes in [
-        ((4, 3, 3, 3), 4, 22968, [5, 25, 488]),
-        ((4, 4, 3), 5, 3448, [3, 7, 15, 15]),
+        ((4, 3, 3, 3), 4, 22308, [5, 25, 488]),
+        ((4, 4, 3), 5, 2740, [3, 7, 15, 15]),
     ]:
         k = core.validate_sequence(entries)
         assert search.solve_Q2(k, r_max).nodes == nodes
         assert [len(search.enumerate_patterns(r, k)[0]) for r in range(2, r_max + 1)] == classes
+
+
+def scratch_levels(r, k):
+    """Reference: levels 2..r rebuilt from nothing, each from the previous
+    level's representatives in the order they were found; returns the
+    level-r (code, representative) pairs sorted by code."""
+    subsets = core.colour_subsets(k.s, 2)
+    level = {}
+    for cs in subsets:
+        p = core.ColourPattern(2, {(0, 1): cs})
+        if core.is_feasible(p, k, 2)[0]:
+            level.setdefault(search.canonical_code(p, k), p)
+    for _ in range(2, r):
+        nxt = {}
+        for base in level.values():
+            for row in core.attachment_rows(base, k, subsets):
+                p = base.attach(row)
+                nxt.setdefault(search.canonical_code(p, k), p)
+        level = nxt
+    return [(code, list(p.assignment.items())) for code, p in sorted(level.items())]
+
+
+def test_solve_q2_walks_the_levels_built_from_scratch(monkeypatch):
+    walked = []
+    levels = search.pattern_levels
+
+    def recording(k, budget=None):
+        for reps, completed in levels(k, budget):
+            walked.append([(rep.canonical_code, list(rep.pattern.assignment.items())) for rep in reps])
+            yield reps, completed
+
+    monkeypatch.setattr(search, "pattern_levels", recording)
+    for entries, r_max in [((3, 3, 3), 6), ((4, 4, 3), 5), ((4, 3, 3, 3), 4)]:
+        k = core.validate_sequence(entries)
+        walked.clear()
+        search.solve_Q2(k, r_max, prune=False)
+        by_solve = list(walked)
+        assert len(by_solve) == r_max - 1  # no level beyond r_max is built
+        for r, level in enumerate(by_solve, start=2):
+            expected = scratch_levels(r, k)
+            assert level == expected, (entries, r)
+            reps, completed = search.enumerate_patterns(r, k)
+            assert completed
+            assert [(rep.canonical_code, list(rep.pattern.assignment.items())) for rep in reps] == expected

@@ -119,6 +119,7 @@ def test_support_solve_memo_gives_equal_results_cold_and_warm():
         return (opt.weighting, opt.support, opt.value.numeric_value, opt.stationarity_residual)
 
     weights._support_solve.cache_clear()
+    weights._optimum.cache_clear()
     cold = [fields(weights.optimize_weights(p, k)) for k, p in cases]
     assert weights._support_solve.cache_info().hits > 0
     warm = [fields(weights.optimize_weights(p, k)) for k, p in reversed(cases)]
@@ -126,3 +127,45 @@ def test_support_solve_memo_gives_equal_results_cold_and_warm():
     shared = weights._support_solve(2, np.array([[0.0, 1.0], [1.0, 0.0]]).tobytes())
     with pytest.raises(ValueError):
         shared[0] = 0.0
+
+
+def test_optimum_memo_sees_only_multiplicities_cold_and_warm():
+    # the memo is keyed on the multiplicities in pair order: a colour
+    # relabelling shares the entry, the reversed pair order gets its own;
+    # either way each result equals the one computed from a cold memo
+    rng = random.Random(13)
+    k = core.validate_sequence([3, 3, 3])
+    cases = [
+        (core.ColourPattern(3, {(0, 1): {1, 2}, (0, 2): {1}, (1, 2): {2}}), False),
+        (core.ColourPattern(3, {(0, 1): {1, 3}, (0, 2): {3}, (1, 2): {1}}), False),
+    ]
+    while len(cases) < 16:
+        level = 1 + len(cases) % 2
+        pattern = random_pattern(rng, rng.randint(2, 5), k, level=level)
+        if pattern is not None:
+            cases.append((pattern, len(cases) % 5 == 0))
+    patterns = []
+    for pattern, cross in cases:
+        patterns += [
+            (pattern, cross),
+            (pattern.relabel_colours({1: 2, 2: 3, 3: 1}), cross),
+            (core.ColourPattern(pattern.r, dict(reversed(pattern.assignment.items()))), cross),
+        ]
+    assert any(1 in map(len, p.assignment.values()) for p, _ in patterns)
+    assert any(cross for _, cross in patterns)
+
+    def fields(opt):
+        return (
+            repr(opt.weighting), opt.support, repr(opt.value.d), opt.value.exact,
+            repr(opt.stationarity_residual),
+        )
+
+    cold = []
+    for pattern, cross in patterns:
+        weights._optimum.cache_clear()
+        cold.append(fields(weights.optimize_weights(pattern, k, cross_check=cross)))
+    weights._optimum.cache_clear()
+    warm = [fields(weights.optimize_weights(p, k, cross_check=c)) for p, c in patterns]
+    assert weights._optimum.cache_info().hits >= len(cases)
+    assert warm == cold
+    assert cold[0::3] == cold[1::3]  # relabelled colours, same multiplicities
