@@ -159,6 +159,8 @@ def constraint_validity_scan(
     The scan refutes invalid constraints; it cannot prove validity beyond the
     range searched.
     """
+    if r_max < 2:
+        raise core.ErlabError(f"r_max={r_max}: the scan needs r_max >= 2")
     tracker = search._Budget(budget)
     exhaustive = True
     for _, (reps, completed) in zip(range(2, r_max + 1), search.pattern_levels(k, tracker)):

@@ -1,7 +1,10 @@
 """Brute-force ground truth: counting clique-free edge colourings directly.
 
-These routines are deliberately simple and exponential; they exist to check
-the structural machinery on small instances, not to be fast.
+These routines are exponential; they exist to check the structural machinery
+on small instances.  Two symmetries keep them exact and cheaper: colours with
+equal clique orders are interchangeable, so the count walks one colouring per
+orbit and weighs it by the orbit's size; and the graph sweep adds one edge per
+pair of twin classes, since the other choices give isomorphic graphs.
 """
 
 from __future__ import annotations
@@ -21,36 +24,55 @@ def count_valid_colourings(g: SimpleGraph, k: core.ColourSeq) -> int:
     """F(G; k): edge colourings of g with no K_{k_c} in colour c.
 
     Exact arbitrary-precision count by DFS with an incremental clique check
-    on the freshly coloured edge.
+    on the freshly coloured edge, up to interchangeable colours.  Colours
+    with equal k_c form runs of the sorted k.  Only the first colour of each
+    run is open at the start, and the next colour of a run opens when the
+    one before it is first used, so each orbit under permuting a run is
+    walked once, in restricted-growth order.  The first use of the i-th
+    colour (0-based) of a run of m weighs its subtree by m - i.
     """
     s = k.s
     e = len(g.edges)
     if (s == 2 and e > 24) or (s > 2 and s**e > 10**8):
         raise TooLarge(f"{s}^{e} colourings is beyond the brute-force guard")
     edges = sorted(g.edges)
-    # per colour: its adjacency masks and the clique order a new edge's
-    # common neighbourhood must not contain, k_c - 2
-    colour_plan = [([0] * g.n, k[c] - 2) for c in k.colours()]
+    last = len(edges)
+    # per colour: its adjacency masks, the clique order a new edge's common
+    # neighbourhood must not contain (k_c - 2) and what its first use opens:
+    # None, or (weight m - i, the next colour of its run); the last colour
+    # of a run weighs 1 and opens nothing, so it is an ordinary colour
+    plan = [None] * s
+    later = 0  # colours after c in its run
+    for c in reversed(range(s)):
+        later = later + 1 if c + 1 < s and k.entries[c + 1] == k.entries[c] else 0
+        plan[c] = ([0] * g.n, k.entries[c] - 2, (later + 1, plan[c + 1]) if later else None)
+    open_colours = [plan[c] for c in range(s) if c == 0 or k.entries[c - 1] != k.entries[c]]
     count = 0
 
-    def dfs(idx: int):
+    def dfs(idx: int, open_colours: list, weight: int):
         nonlocal count
-        if idx == len(edges):
-            count += 1
+        if idx == last:
+            count += weight
             return
         u, v = edges[idx]
         bu, bv = 1 << u, 1 << v
-        for adj, need in colour_plan:
+        for colour in open_colours:
+            adj, need, opens = colour
             common = adj[u] & adj[v]
             if common and (need == 1 or has_clique(adj, need, common) is not None):
                 continue
             adj[u] |= bv
             adj[v] |= bu
-            dfs(idx + 1)
+            if opens is None:
+                dfs(idx + 1, open_colours, weight)
+            else:
+                factor, nxt = opens
+                used = (adj, need, None)
+                dfs(idx + 1, [used if o is colour else o for o in open_colours] + [nxt], weight * factor)
             adj[u] &= ~bv
             adj[v] &= ~bu
 
-    dfs(0)
+    dfs(0, open_colours, 1)
     return count
 
 
@@ -66,12 +88,31 @@ def is_complete_multipartite(g: SimpleGraph) -> bool:
     return multipartite_parts(g) is not None
 
 
+def _twin_classes(n: int, edges: frozenset) -> list:
+    """Each vertex's twin class, numbered by first vertex: u and v are twins
+    when N(u) - {v} = N(v) - {u}.  This is an equivalence, and permuting a
+    class is an automorphism of the graph."""
+    adj = SimpleGraph(n, edges).adjacency_masks()
+    cls = []
+    for v in range(n):
+        for u in range(v):
+            if cls[u] == u and adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                cls.append(u)
+                break
+        else:
+            cls.append(v)
+    return cls
+
+
 def graph_classes(n: int) -> list:
     """One edge set per isomorphism class of graphs on n vertices.
 
     Graphs are generated level-wise by edge additions from the empty graph,
     deduplicated by canonical code; every isomorphism class contains a chain
-    down to the empty graph, so the sweep is exhaustive.
+    down to the empty graph, so the sweep is exhaustive.  Of the non-edges
+    joining the same two twin classes only the first in pair order is added:
+    an automorphism maps it to each of the others, so they would give
+    children isomorphic to one already tried.
     """
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     classes = {_canonical_graph_code(n, frozenset()): frozenset()}
@@ -79,9 +120,13 @@ def graph_classes(n: int) -> list:
     while frontier:
         nxt = {}
         for edges in frontier.values():
+            cls = _twin_classes(n, edges)
+            tried = set()
             for p in pairs:
-                if p in edges:
+                key = (cls[p[0]], cls[p[1]])
+                if p in edges or key in tried:
                     continue
+                tried.add(key)
                 e2 = edges | {p}
                 code = _canonical_graph_code(n, e2)
                 if code not in classes and code not in nxt:

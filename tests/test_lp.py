@@ -102,6 +102,16 @@ def test_constraint_validity_scan_counterexamples_are_pinned():
         assert lp.constraint_validity_scan(con, k, 5) == (True, None, True)
 
 
+def test_constraint_validity_scan_rejects_an_empty_range():
+    # no level below 2 exists, so r_max < 2 is an error, as in solve_Q2,
+    # never a scan that is "valid" and "exhaustive" over nothing
+    k = core.validate_sequence([3, 3, 3, 3])
+    con = lp.Constraint(frozenset({2}), 4)
+    for r_max in (1, 0, -3):
+        with pytest.raises(core.ErlabError, match="r_max >= 2"):
+            lp.constraint_validity_scan(con, k, r_max)
+
+
 def test_sandwich_certificates_exact():
     for entries in [(3, 3), (6, 3), (5, 5, 5), (3, 3, 3, 3), (4, 4, 4, 4)]:
         k = core.validate_sequence(entries)

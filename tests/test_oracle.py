@@ -41,6 +41,19 @@ def test_count_matches_product_brute_force_on_every_class():
                 assert oracle.count_valid_colourings(g, k) == brute_force_count(g, k), (entries, g)
 
 
+def test_count_with_interchangeable_colours_matches_product_brute_force():
+    # runs of equal clique orders: one of length 2, 2 beside 1, 3, 4, and
+    # two of length 2; the count walks one colouring per orbit of each run
+    for entries, n_max in [
+        ((4, 4), 5), ((4, 4, 3), 5), ((4, 4, 4), 5), ((3, 3, 3, 3), 4), ((4, 4, 3, 3), 4),
+    ]:
+        k = core.validate_sequence(entries)
+        for n in range(1, n_max + 1):
+            for edges in oracle.graph_classes(n):
+                g = SimpleGraph(n, edges)
+                assert oracle.count_valid_colourings(g, k) == brute_force_count(g, k), (entries, g)
+
+
 def test_count_k4_two_colours():
     # frozen from the independent brute force: of the 2^6 colourings of K_4,
     # exactly 18 avoid a monochromatic triangle
@@ -56,6 +69,27 @@ def test_count_guards():
 def test_graph_class_counts():
     # the number of graphs on n unlabelled vertices (OEIS A000088)
     assert [len(oracle.graph_classes(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+
+
+def test_graph_classes_equal_an_unpruned_sweep():
+    # every non-edge of every representative tried, with no twin pruning:
+    # the same classes with the same edge sets in the same order, the order
+    # extremal_search lists its maximisers in
+    for n in range(1, 7):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        classes = {oracle._canonical_graph_code(n, frozenset()): frozenset()}
+        frontier = dict(classes)
+        while frontier:
+            nxt = {}
+            for edges in frontier.values():
+                for p in pairs:
+                    if p not in edges:
+                        code = oracle._canonical_graph_code(n, edges | {p})
+                        if code not in classes and code not in nxt:
+                            nxt[code] = edges | {p}
+            classes.update(nxt)
+            frontier = nxt
+        assert oracle.graph_classes(n) == list(classes.values()), n
 
 
 def test_extremal_search_small_n():
