@@ -189,6 +189,26 @@ def multipartite_parts(g: SimpleGraph) -> list[int] | None:
     return sorted(set(parts))
 
 
+def twin_classes(matrix) -> list:
+    """Each vertex's twin class in the symmetric matrix, numbered by its
+    first vertex: u and v are twins when matrix[u][x] == matrix[v][x] for
+    every x other than u and v.  This is an equivalence (twins u, v and w
+    see one value on all three pairs), and permuting a class maps the
+    matrix to itself."""
+    n = len(matrix)
+    cls: list[int] = []
+    for v in range(n):
+        mv = matrix[v]
+        for u in range(v):
+            mu = matrix[u]
+            if cls[u] == u and all(mu[x] == mv[x] for x in range(n) if x != u and x != v):
+                cls.append(u)
+                break
+        else:
+            cls.append(v)
+    return cls
+
+
 def canonical_matrix_code(r: int, matrices) -> bytes:
     """The least code bytes(m[o[a]][o[b]] for a < b, row-major) over the
     symmetric r x r matrices m and all vertex orders o (McKay's exact

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import core
-from .graphs import SimpleGraph, canonical_matrix_code, has_clique, multipartite_parts
+from .graphs import SimpleGraph, canonical_matrix_code, has_clique, multipartite_parts, twin_classes
 
 
 class TooLarge(core.ErlabError):
@@ -76,32 +76,20 @@ def count_valid_colourings(g: SimpleGraph, k: core.ColourSeq) -> int:
     return count
 
 
-def _canonical_graph_code(n: int, edges: frozenset) -> bytes:
+def _adjacency_matrix(n: int, edges: frozenset) -> list:
     adj = [[0] * n for _ in range(n)]
     for u, v in edges:
         adj[u][v] = adj[v][u] = 1
-    return canonical_matrix_code(n, [adj])
+    return adj
+
+
+def _canonical_graph_code(n: int, edges: frozenset) -> bytes:
+    return canonical_matrix_code(n, [_adjacency_matrix(n, edges)])
 
 
 def is_complete_multipartite(g: SimpleGraph) -> bool:
     """True iff the complement is a disjoint union of cliques."""
     return multipartite_parts(g) is not None
-
-
-def _twin_classes(n: int, edges: frozenset) -> list:
-    """Each vertex's twin class, numbered by first vertex: u and v are twins
-    when N(u) - {v} = N(v) - {u}.  This is an equivalence, and permuting a
-    class is an automorphism of the graph."""
-    adj = SimpleGraph(n, edges).adjacency_masks()
-    cls = []
-    for v in range(n):
-        for u in range(v):
-            if cls[u] == u and adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
-                cls.append(u)
-                break
-        else:
-            cls.append(v)
-    return cls
 
 
 def graph_classes(n: int) -> list:
@@ -120,7 +108,7 @@ def graph_classes(n: int) -> list:
     while frontier:
         nxt = {}
         for edges in frontier.values():
-            cls = _twin_classes(n, edges)
+            cls = twin_classes(_adjacency_matrix(n, edges))
             tried = set()
             for p in pairs:
                 key = (cls[p[0]], cls[p[1]])

@@ -213,45 +213,184 @@ def test_search_counters_are_pinned():
         assert [len(search.enumerate_patterns(r, k)[0]) for r in range(2, r_max + 1)] == classes
 
 
-def scratch_levels(r, k):
-    """Reference: levels 2..r rebuilt from nothing, each from the previous
-    level's representatives in the order they were found; returns the
-    level-r (code, representative) pairs sorted by code."""
+def scratch_levels(k, r_max, budget=None):
+    """Reference: levels 2..r_max rebuilt from nothing, every feasible row of
+    every base canonicalised, each level from the previous level's
+    representatives in the order they were found, and nothing after a level
+    the budget cut short.  Returns the levels, each as its (code,
+    representative) pairs sorted by code and its completed flag, and the
+    nodes spent."""
+    tracker = search._Budget(10**8 if budget is None else budget)
     subsets = core.colour_subsets(k.s, 2)
     level = {}
     for cs in subsets:
         p = core.ColourPattern(2, {(0, 1): cs})
         if core.is_feasible(p, k, 2)[0]:
             level.setdefault(search.canonical_code(p, k), p)
-    for _ in range(2, r):
-        nxt = {}
-        for base in level.values():
-            for row in core.attachment_rows(base, k, subsets):
-                p = base.attach(row)
-                nxt.setdefault(search.canonical_code(p, k), p)
-        level = nxt
-    return [(code, list(p.assignment.items())) for code, p in sorted(level.items())]
+    levels = []
+    for r in range(2, r_max + 1):
+        if r > 2:
+            nxt = {}
+            for base in level.values():
+                for row in core.attachment_rows(base, k, subsets, tracker):
+                    p = base.attach(row)
+                    nxt.setdefault(search.canonical_code(p, k), p)
+            level = nxt
+        levels.append(([(code, list(p.assignment.items())) for code, p in sorted(level.items())],
+                       not tracker.refused))
+        if tracker.refused:
+            break
+    return levels, tracker.used
+
+
+def codes(reps):
+    return [(rep.canonical_code, list(rep.pattern.assignment.items())) for rep in reps]
 
 
 def test_solve_q2_walks_the_levels_built_from_scratch(monkeypatch):
+    # the search attaches one row per orbit of each base's symmetries; the
+    # reference attaches every row, so equal levels mean equal classes,
+    # representatives and codes, and equal nodes mean the same rows tried
     walked = []
     levels = search.pattern_levels
 
     def recording(k, budget=None):
         for reps, completed in levels(k, budget):
-            walked.append([(rep.canonical_code, list(rep.pattern.assignment.items())) for rep in reps])
+            walked.append((codes(reps), completed))
             yield reps, completed
 
     monkeypatch.setattr(search, "pattern_levels", recording)
-    for entries, r_max in [((3, 3, 3), 6), ((4, 4, 3), 5), ((4, 3, 3, 3), 4)]:
+    for entries, r_max, budget in [
+        ((3, 3, 3), 6, None), ((4, 4, 3), 5, None), ((4, 3, 3, 3), 4, None),
+        ((5, 5, 5), 4, None), ((6, 6, 6), 4, None), ((3, 3, 3, 3), 5, None), ((5, 5, 4), 4, None),
+        ((4, 3, 3), 5, 1), ((4, 3, 3), 5, 7), ((4, 3, 3), 5, 50), ((4, 3, 3), 5, 333),
+    ]:
         k = core.validate_sequence(entries)
+        expected, nodes = scratch_levels(k, r_max, budget)
         walked.clear()
-        search.solve_Q2(k, r_max, prune=False)
-        by_solve = list(walked)
-        assert len(by_solve) == r_max - 1  # no level beyond r_max is built
-        for r, level in enumerate(by_solve, start=2):
-            expected = scratch_levels(r, k)
-            assert level == expected, (entries, r)
-            reps, completed = search.enumerate_patterns(r, k)
-            assert completed
-            assert [(rep.canonical_code, list(rep.pattern.assignment.items())) for rep in reps] == expected
+        res = search.solve_Q2(k, r_max, prune=False, **({} if budget is None else {"budget": budget}))
+        assert walked == expected, (entries, budget)  # no level beyond r_max, or past the cut, is built
+        assert res.nodes == nodes, (entries, budget)
+        for r in range(2, r_max + 1):
+            reps, completed = search.enumerate_patterns(r, k, None if budget is None else search._Budget(budget))
+            # a budget that runs out before level r builds nothing on r vertices
+            assert (codes(reps), completed) == (expected[r - 2] if r - 2 < len(expected) else ([], False))
+
+
+def test_enumerate_patterns_under_a_budget_builds_level_r_or_nothing():
+    k = core.validate_sequence([4, 3, 3])
+    assert search.enumerate_patterns(5, k, search._Budget(50)) == ([], False)
+    assert search.enumerate_patterns(4, k, search._Budget(50)) == ([], False)
+    reps, completed = search.enumerate_patterns(3, k, search._Budget(50))
+    assert not completed and reps and all(rep.pattern.r == 3 for rep in reps)
+    reps, completed = search.enumerate_patterns(4, k, search._Budget(333))
+    assert completed and [rep.pattern.r for rep in reps] == [4, 4, 4]
+
+
+def brute_force_automorphisms(pattern, k):
+    """Reference: every (vertex permutation, colour permutation within blocks
+    of equal clique order) mapping the pattern to itself, as (perm, colour
+    images) with perm[v] the image of v, tried one by one."""
+    colours = list(k.colours())
+    cmaps = [
+        image
+        for image in itertools.permutations(colours)
+        if all(k[c] == k[d] for c, d in zip(colours, image))
+    ]
+    pairs = list(itertools.combinations(range(pattern.r), 2))
+    return {
+        (vperm, cmap)
+        for vperm in itertools.permutations(range(pattern.r))
+        for cmap in cmaps
+        if all(
+            pattern.get(vperm[i], vperm[j]) == {cmap[c - 1] for c in pattern.get(i, j)}
+            for i, j in pairs
+        )
+    }
+
+
+def brute_force_twin_classes(pattern):
+    r = pattern.r
+    classes = []
+    for v in range(r):
+        for cls in classes:
+            u = cls[0]
+            if all(pattern.get(u, x) == pattern.get(v, x) for x in range(r) if x not in (u, v)):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+def symmetry_cases():
+    """Small patterns: all pairs equal, twin-free ones (the self-complementary
+    5-cycle, whose complement a colour swap reaches), search levels and
+    random ones."""
+    rng = random.Random(5)
+    k3 = core.validate_sequence([3, 3, 3])
+    cases = []
+    for entries, r in [((3, 3, 3), 5), ((3, 3, 3, 3), 4), ((4, 4, 3), 5)]:
+        k = core.validate_sequence(entries)
+        cases.append((core.ColourPattern(r, dict.fromkeys(itertools.combinations(range(r), 2), {1, 2})), k))
+    cycle = {(i, (i + 1) % 5): {1, 2} for i in range(5)}
+    cases.append((core.ColourPattern(5, {p: cycle.get(p, cycle.get(p[::-1], {2, 3}))
+                                         for p in itertools.combinations(range(5), 2)}), k3))
+    for entries, r in [((3, 3, 3), 4), ((3, 3, 3), 5), ((4, 4), 5), ((4, 4, 3), 4), ((3, 3, 3, 3), 4)]:
+        k = core.validate_sequence(entries)
+        cases += [(rep.pattern, k) for rep in search.enumerate_patterns(r, k)[0][:6]]
+    for entries in [(3, 3, 3), (4, 3, 3), (3, 3, 3, 3)]:
+        k = core.validate_sequence(entries)
+        for r in (3, 4, 5, 6):
+            cases.append((random_pattern(rng, r, k), k))
+    return cases
+
+
+def test_pattern_symmetries_generate_every_automorphism():
+    twin_free = 0
+    for pattern, k in symmetry_cases():
+        classes, autos = search.pattern_symmetries(search._mask_rows(pattern), k)
+        assert classes == brute_force_twin_classes(pattern)
+        identity = (tuple(range(pattern.r)), search._mask_images(k)[0])
+        assert identity not in autos and len(set(autos)) == len(autos)
+        closure = []
+        for perm, table in [identity] + autos:
+            cmap = tuple(table[1 << (c - 1)].bit_length() for c in k.colours())
+            for twins in itertools.product(*(itertools.permutations(cls) for cls in classes)):
+                within = list(range(pattern.r))
+                for cls, image in zip(classes, twins):
+                    for u, v in zip(cls, image):
+                        within[u] = v
+                closure.append((tuple(perm[within[u]] for u in range(pattern.r)), cmap))
+        assert len(set(closure)) == len(closure)
+        assert set(closure) == brute_force_automorphisms(pattern, k)
+        twin_free += len(classes) == pattern.r and len(closure) > 1
+    assert twin_free >= 2
+
+
+def test_orbit_least_rows_keep_the_least_row_of_each_orbit():
+    cases = []
+    for entries in [(4, 4, 3), (4, 3, 3), (5, 5, 5), (6, 6, 6), (4, 4, 4), (3, 3, 3, 3), (5, 5, 4), (4, 3, 3, 3)]:
+        k = core.validate_sequence(entries)
+        cases += [(rep.pattern, k) for r in (2, 3, 4) for rep in search.enumerate_patterns(r, k)[0][:30]]
+    kept = twins = 0
+    for pattern, k in cases:
+        subsets = core.colour_subsets(k.s, 2)
+        index = {cs: i for i, cs in enumerate(subsets)}
+        group = brute_force_automorphisms(pattern, k)
+        rows = core.attachment_rows(pattern, k, subsets)
+        expected = []
+        for row in rows:
+            key = tuple(index[cs] for cs in row)
+            images = []
+            for vperm, cmap in group:
+                image = [None] * pattern.r
+                for v, cs in enumerate(row):
+                    image[vperm[v]] = index[frozenset(cmap[c - 1] for c in cs)]
+                images.append(tuple(image))
+            if key == min(images):
+                expected.append(row)
+        assert search.orbit_least_rows(pattern, k, rows) == expected
+        kept += len(expected)
+        twins += len(brute_force_twin_classes(pattern)) < pattern.r and len(rows) > len(expected)
+    assert kept > 0 and twins > 0
