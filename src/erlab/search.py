@@ -115,6 +115,7 @@ def pattern_symmetries(m: list[bytes], k: core.ColourSeq) -> tuple[list, list]:
 
         def extend(i: int):
             if i == len(choices):
+                # tables[0] is the identity colour map, as permutations start with it
                 if table is not tables[0] or any(p != v for v, p in enumerate(perm)):
                     autos.append((tuple(perm), table))
                 return
