@@ -8,15 +8,18 @@ Each checkout runs the same ``er-lab`` commands in-process, from its own
 - ``q2`` on the twelve q2-sweep cases and on (3,3,3,3)/6, (4,4,4)/6 and
   (5,5,5)/5
 - ``tables`` in JSON and in tsv
+- ``certify --k`` and ``extension --k`` for the 15 solved families of
+  ``tables``, and ``extension --k 4,4,4,4 --opt`` on AG(2,3) minus a line
 - the ``oracle count`` and ``oracle extremal`` operations of the
   oracle-bruteforce workload (seed 11)
 
-The command list and the oracle input graphs come from CHANGE's
-``bench/workloads.py``, read without writing anything under ``bench/``; the
-graphs go to a temporary directory that both sides read.  Reports are
-compared as JSON with their top-level ``timing`` dropped (``nodes`` and
-every other field kept); ``tables`` must be byte-identical.  Prints one
-line per command and exits 1 when any report differs.
+The command list, AG(2,3) minus a line and the oracle input graphs come
+from CHANGE's ``bench/workloads.py``, read without writing anything under
+``bench/``; the input files go to a temporary directory that both sides
+read.  Reports are compared as JSON with their top-level ``timing`` dropped
+(``nodes``, ``attachments`` and every other field kept); ``tables`` must be
+byte-identical.  Prints one line per command and exits 1 when any report
+differs.
 """
 
 from __future__ import annotations
@@ -52,6 +55,13 @@ def commands(change: str, workdir: str) -> list:
 
     argvs = [["q2", "--k", k, "--rmax", str(r)] for k, r in workloads.Q2_CASES + EXTRA_Q2]
     argvs += [["tables"], ["tables", "--format", "tsv"]]
+    for family in workloads.TABLE_FAMILIES:
+        k = ",".join(map(str, family))
+        argvs += [["certify", "--k", k], ["extension", "--k", k]]
+    ag_path = os.path.join(workdir, "ag23_minus_line.json")
+    with open(ag_path, "w") as fh:
+        json.dump(workloads.AG23_MINUS_LINE, fh)
+    argvs.append(["extension", "--k", "4,4,4,4", "--opt", ag_path])
     oracle = workloads.Workload("oracle-bruteforce", SEED, workdir, reference={})
     return argvs + [op.argv for op in oracle.ops]
 

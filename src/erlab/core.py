@@ -12,6 +12,7 @@ the weighting is rational.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -232,11 +233,15 @@ def attachment_rows(
 
     nbr[c] holds the earlier vertices joined to the new one in colour c; as
     the prefix passed, vertex j may take c iff nbr[c] & adj_c[j] spans no
-    K_{k_c - 2}.  With weights `alpha`, only rows whose sum of
-    alpha_j log2|cs_j| is within `tol` of `target` are kept, and a candidate
-    that cannot reach it (alpha_i log2 s bounds each later vertex) is
-    skipped before its clique test.  `budget.spend()` runs once per
-    candidate, before any test; the DFS stops once it refuses.
+    K_{k_c - 2}.  Each colour is tested once per DFS node; the colours that
+    fail are banned there, and only the sets that avoid them are walked.
+    With weights `alpha`, only rows whose sum of alpha_j log2|cs_j| is
+    within `tol` of `target` are kept, and a set that cannot reach it
+    (alpha_i log2 s bounds each later vertex) is not entered.  The budget
+    is charged one node per candidate set, banned ones included, in order:
+    the banned sets before a walked one are charged in one batch with it
+    (`budget.spend(n)`), the banned sets after the last in one more; the
+    DFS stops once it refuses.
     """
     r, s = pattern.r, k.s
     weights = [0.0] * r if alpha is None else [float(a) for a in alpha]
@@ -244,8 +249,13 @@ def attachment_rows(
     for i in range(r - 1, -1, -1):
         bound[i] = bound[i + 1] + weights[i] * math.log2(s)
     adj = {c: pattern.colour_graph(c).adjacency_masks() for c in k.colours()}
-    logs = [math.log2(len(cs)) if cs else 0.0 for cs in subsets]
-    checks = [[[(c, adj[c], adj[c][j], k[c] - 2) for c in cs] for cs in subsets] for j in range(r)]
+    tests = [[(c, adj[c], adj[c][j], k[c] - 2, 1 << c) for c in k.colours()] for j in range(r)]
+    candidates = [
+        (i, cs, math.log2(len(cs)) if cs else 0.0, sum(1 << c for c in cs))
+        for i, cs in enumerate(subsets)
+    ]
+    fitting: dict[int, list] = {}  # banned colour mask -> the sets that avoid it
+    total = len(subsets)
     nbr = [0] * (s + 1)
     row: list[frozenset] = []
     out: list[tuple] = []
@@ -255,25 +265,32 @@ def attachment_rows(
             if abs(ext - target) <= tol:
                 out.append(tuple(row))
             return
+        banned = 0
+        for c, adj_c, adj_cj, need, cbit in tests[j]:
+            m = nbr[c] & adj_cj
+            if m and (need == 1 or has_clique(adj_c, need, m) is not None):
+                banned |= cbit
+        walk = fitting.get(banned)
+        if walk is None:
+            walk = fitting[banned] = [(i, cs, log) for i, cs, log, mask in candidates if not mask & banned]
         bit = 1 << j
-        for cs, log, tests in zip(subsets, logs, checks[j]):
-            if budget is not None and not budget.spend():
+        charged = 0
+        for i, cs, log in walk:
+            if budget is not None and not budget.spend(i + 1 - charged):
                 return
+            charged = i + 1
             gain = weights[j] * log
             if ext + gain + bound[j + 1] < target - tol:
                 continue
-            for c, adj_c, adj_cj, need in tests:
-                m = nbr[c] & adj_cj
-                if m and (need == 1 or has_clique(adj_c, need, m) is not None):
-                    break
-            else:
-                for c in cs:
-                    nbr[c] |= bit
-                row.append(cs)
-                dfs(j + 1, ext + gain)
-                row.pop()
-                for c in cs:
-                    nbr[c] &= ~bit
+            for c in cs:
+                nbr[c] |= bit
+            row.append(cs)
+            dfs(j + 1, ext + gain)
+            row.pop()
+            for c in cs:
+                nbr[c] &= ~bit
+        if budget is not None and charged < total:
+            budget.spend(total - charged)
 
     dfs(0, 0.0)
     return out
@@ -433,6 +450,7 @@ def ramsey_upper_bound(k: ColourSeq) -> int:
     return _ramsey_bound(tuple(sorted(k.entries, reverse=True)))
 
 
+@functools.cache
 def _ramsey_bound(entries: tuple) -> int:
     entries = tuple(sorted((e for e in entries if e > 2), reverse=True))
     if not entries:

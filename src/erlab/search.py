@@ -197,11 +197,14 @@ class _Budget:
         self.used = 0
         self.refused = False
 
-    def spend(self) -> bool:
-        if self.used >= self.limit:
+    def spend(self, n: int = 1) -> bool:
+        """Charge n nodes, as n single calls would: if fewer than n remain,
+        the rest are used up and the call refuses."""
+        if self.used + n > self.limit:
+            self.used = self.limit
             self.refused = True
             return False
-        self.used += 1
+        self.used += n
         return True
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import random_colour_sets, random_pattern
@@ -198,6 +199,102 @@ def test_attachment_rows_match_brute_force():
             assert core.attachment_rows(pattern, k, subsets, alpha=alpha, target=q) == meets
             weighted += len(meets)
     assert weighted >= 3  # at least one clone per optimum
+
+
+def per_candidate_rows(pattern, k, subsets, budget=None, alpha=None, target=0.0, tol=1e-9):
+    """Reference: the attachment DFS that runs the clique tests of each
+    candidate set's own colours and charges the budget once per candidate."""
+    r, s = pattern.r, k.s
+    weights = [0.0] * r if alpha is None else [float(a) for a in alpha]
+    bound = [0.0] * (r + 1)
+    for i in range(r - 1, -1, -1):
+        bound[i] = bound[i + 1] + weights[i] * math.log2(s)
+    adj = {c: pattern.colour_graph(c).adjacency_masks() for c in k.colours()}
+    logs = [math.log2(len(cs)) if cs else 0.0 for cs in subsets]
+    nbr = [0] * (s + 1)
+    row, out = [], []
+
+    def dfs(j, ext):
+        if j == r:
+            if abs(ext - target) <= tol:
+                out.append(tuple(row))
+            return
+        for cs, log in zip(subsets, logs):
+            if budget is not None and not budget.spend():
+                return
+            gain = weights[j] * log
+            if ext + gain + bound[j + 1] < target - tol:
+                continue
+            for c in cs:
+                m = nbr[c] & adj[c][j]
+                if m and (k[c] == 3 or has_clique(adj[c], k[c] - 2, m) is not None):
+                    break
+            else:
+                for c in cs:
+                    nbr[c] |= 1 << j
+                row.append(cs)
+                dfs(j + 1, ext + gain)
+                row.pop()
+                for c in cs:
+                    nbr[c] &= ~(1 << j)
+
+    dfs(0, 0.0)
+    return out
+
+
+def test_budget_spends_a_batch_as_single_nodes():
+    def budget(limit, used, refused):
+        b = search._Budget(limit)
+        for _ in range(used + refused):
+            b.spend()
+        return b
+
+    for limit in range(5):
+        for used in range(limit + 1):
+            for refused in (False, True) if used == limit else (False,):
+                for n in range(1, 8):
+                    single, batch = budget(limit, used, refused), budget(limit, used, refused)
+                    last = [single.spend() for _ in range(n)][-1]
+                    assert batch.spend(n) == last
+                    assert (batch.used, batch.refused) == (single.used, single.refused)
+
+
+def test_budgeted_attachment_rows_match_the_per_candidate_kernel():
+    # the search's colour sets on a few level representatives
+    cases = []
+    for entries, r, count in [
+        ((4, 3, 3, 3), 3, 1), ((3, 3, 3, 3), 3, 1), ((3, 3, 3, 3), 4, 1), ((5, 5, 4), 3, 3), ((5, 5, 4), 4, 1)
+    ]:
+        k = core.validate_sequence(entries)
+        subsets = core.colour_subsets(k.s, 2)
+        cases += [(rep.pattern, k, subsets, {}) for rep in search.enumerate_patterns(r, k)[0][:count]]
+    # the extension's colour sets, with the weights and q of a stationary pattern:
+    # the (3,3,3,3) optimum and AG(2,3) minus one line
+    plane = constructions.affine_plane_triple()
+    for t in [
+        constructions.four_colour_triangle_triple(),
+        core.FeasibleTriple(plane.pattern.induced(range(6)), (Fraction(1, 6),) * 6, level=2),
+    ]:
+        k = core.validate_sequence([3, 3, 3, 3] if t.r == 4 else [4, 4, 4, 4])
+        q = core.q_value(t).numeric_value
+        cases.append((t.pattern, k, core.colour_subsets(k.s, 0), {"alpha": t.weighting, "target": q}))
+    rng = random.Random(5)
+    for pattern, k, subsets, weighted in cases:
+        unbudgeted = search._Budget(10**9)
+        rows = per_candidate_rows(pattern, k, subsets, unbudgeted, **weighted)
+        assert core.attachment_rows(pattern, k, subsets, **weighted) == rows
+        nodes = unbudgeted.used
+        # every budget, but for AG(2,3) minus a line (403,696 nodes): every
+        # budget up to 1,000 and a seeded sample of the rest
+        budgets = range(1, nodes + 2) if nodes < 5000 else [
+            *range(1, 1001), *sorted(rng.sample(range(1001, nodes), 10)), nodes - 1, nodes, nodes + 1
+        ]
+        for b in budgets:
+            old, new = search._Budget(b), search._Budget(b)
+            expected = per_candidate_rows(pattern, k, subsets, old, **weighted)
+            assert core.attachment_rows(pattern, k, subsets, new, **weighted) == expected, (k, b)
+            assert (new.used, new.refused) == (old.used, old.refused), (k, b)
+    assert nodes == 403696 and rows
 
 
 def test_search_counters_are_pinned():
