@@ -114,6 +114,8 @@ def _constraint_json(con: lp.Constraint) -> dict:
 
 
 def _cmd_q2(args) -> tuple:
+    if args.budget < 0:
+        raise UsageError(f"--budget must be >= 0, not {args.budget}")
     k = _parse_k(args.k)
     res = search.solve_Q2(k, args.rmax, budget=args.budget)
     results = {
@@ -241,6 +243,8 @@ def _cmd_oracle(args) -> tuple:
     missing = [f"--{name}" for name in needs if getattr(args, name) is None]
     if missing:
         raise UsageError(f"oracle {args.mode} needs {' and '.join(missing)}")
+    if args.n is not None and args.n < 0:
+        raise UsageError(f"--n must be >= 0, not {args.n}")
     k = _parse_k(args.k) if args.k else None
     if args.mode == "count":
         g = _load_graph(args.graph)

@@ -3,15 +3,20 @@
 Values arising here are rational combinations of log2(p) for small primes p
 (log2(2) = 1 folds into the rational part).  Two such forms are equal iff
 their coefficient vectors coincide, so equality needs no tolerance.
+
+Order is exact too.  A float difference beyond 1e-9 times (1 + the sizes
+of the terms) decides it, a margin millions of times the float error; a
+nearer difference between distinct forms is settled by rigorous decimal
+bounds, refined until they exclude 0.  That always happens: 1 and the log2
+of distinct odd primes are linearly independent over Q (unique
+factorisation), so distinct forms never take the same value.
 """
 
 from __future__ import annotations
 
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
-
-import mpmath
-
-_MP_DPS = 60
 
 
 def _factor(n: int) -> dict[int, int]:
@@ -30,7 +35,10 @@ def _factor(n: int) -> dict[int, int]:
 
 
 class LogLinear:
-    """rational + sum of coeff * log2(p) over odd primes p."""
+    """rational + sum of coeff * log2(p) over odd primes p.
+
+    `coeffs` is keyed by odd primes, as `log2` builds it: exact order
+    (`sign`) rests on the independence of their logs."""
 
     __slots__ = ("rational", "coeffs")
 
@@ -78,25 +86,47 @@ class LogLinear:
         return self.rational == 0 and not self.coeffs
 
     def __float__(self) -> float:
-        import math
-
         return float(self.rational) + sum(float(c) * math.log2(p) for p, c in self.coeffs.items())
 
-    def mpf(self) -> mpmath.mpf:
-        with mpmath.workdps(_MP_DPS):
-            val = mpmath.mpf(self.rational.numerator) / self.rational.denominator
-            for p, c in self.coeffs.items():
-                val += mpmath.mpf(c.numerator) / c.denominator * mpmath.log(p, 2)
-            return val
+    def sign(self) -> int:
+        """-1, 0 or 1 as the value is negative, zero or positive, exactly.
+
+        ln(2) times the value is rational·ln 2 + sum c_p·ln p.  Each ln is
+        correctly rounded to `digits` significant digits, so within half a
+        unit in its last place; with a whole unit as the error bound, the
+        value's sign is fixed once the sum's distance from 0 exceeds the
+        bound, and the digits double until it does.
+        """
+        if self.is_zero():
+            return 0
+        terms = [(self.rational, 2), *((c, p) for p, c in self.coeffs.items())]
+        digits = 40
+        while True:
+            centre = radius = Fraction(0)
+            with localcontext() as ctx:
+                ctx.prec = digits
+                for c, p in terms:
+                    ln = Decimal(p).ln()
+                    centre += c * Fraction(ln)
+                    radius += abs(c) * Fraction(10) ** ln.as_tuple().exponent
+            if abs(centre) > radius:
+                return 1 if centre > 0 else -1
+            digits *= 2
+
+    def _size(self) -> float:
+        """The sum of the terms' absolute values, about which the float
+        value errs by a few units in the last place per term."""
+        return abs(float(self.rational)) + sum(abs(float(c)) * math.log2(p) for p, c in self.coeffs.items())
 
     def __lt__(self, other: "LogLinear") -> bool:
         if self == other:
             return False
         diff = float(self) - float(other)
-        if abs(diff) > 1e-9:
+        # a margin far above the float error, also for forms with large terms
+        if abs(diff) > 1e-9 * (1 + self._size() + other._size()):
             return diff < 0
-        # near-tie between distinct forms: decide at high precision
-        return self.mpf() < other.mpf()
+        # near-tie between distinct forms: decide exactly
+        return (self - other).sign() < 0
 
     def __le__(self, other: "LogLinear") -> bool:
         return self == other or self < other

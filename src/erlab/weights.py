@@ -12,6 +12,10 @@ q depends on a pattern only through its pair multiplicities |phi(ij)|; the
 colours matter only for feasibility.  So after the feasibility check the
 optimum is memoised on the multiplicities in pair order (a second bounded
 cache): the patterns of a search share few of them.
+
+numpy is imported inside the functions that build arrays, never at module
+level, so the commands that solve no KKT system (certify, extension,
+tables, capacity, oracle) never load it.
 """
 
 from __future__ import annotations
@@ -22,10 +26,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import core
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class InfeasiblePattern(core.ErlabError):
@@ -45,6 +51,8 @@ class WeightOptimum:
 
 
 def _log_matrix(pattern: core.ColourPattern) -> np.ndarray:
+    import numpy as np
+
     r = pattern.r
     a = np.zeros((r, r))
     for (i, j), cs in pattern.assignment.items():
@@ -59,6 +67,8 @@ def _q_of(a: np.ndarray, x: np.ndarray) -> float:
 
 def _projected_gradient(a: np.ndarray, x: np.ndarray, iters: int = 400) -> np.ndarray:
     """Ascent on q(x) = x^T A x over the simplex (projection by sorting)."""
+    import numpy as np
+
     n = len(x)
     step = 0.1
     for _ in range(iters):
@@ -92,6 +102,8 @@ def _support_solve(m: int, entries: bytes) -> np.ndarray | None:
     Returns alpha clipped at 0, read-only as the cache shares it, or None
     when the system is inconsistent or alpha has a negative entry.
     """
+    import numpy as np
+
     sys = np.zeros((m + 1, m + 1))
     sys[:m, :m] = np.frombuffer(entries).reshape(m, m)
     sys[:m, m] = -1.0
@@ -120,6 +132,8 @@ def _support_solve(m: int, entries: bytes) -> np.ndarray | None:
 
 def _stationary_on_support(a: np.ndarray, support: tuple) -> np.ndarray | None:
     """The stationary point on `support` as an r-vector, or None."""
+    import numpy as np
+
     alpha = _support_solve(len(support), a[np.ix_(support, support)].tobytes())
     if alpha is None:
         return None
@@ -133,6 +147,8 @@ def _stationary_on_support(a: np.ndarray, support: tuple) -> np.ndarray | None:
 
 def _rationalise(x: np.ndarray, a: np.ndarray) -> tuple | None:
     """Snap to small rationals when the exact point is stationary-equivalent."""
+    import numpy as np
+
     fracs = [Fraction(float(v)).limit_denominator(720) for v in x]
     total = sum(fracs)
     if total == 0:
@@ -179,6 +195,8 @@ def _optimum(r: int, mults: tuple, rng_seed: int, cross_check: bool) -> WeightOp
         w = (Fraction(1),)
         triple = core.FeasibleTriple(pattern, w, level=1)
         return WeightOptimum(w, core.q_value(triple), frozenset({0}), 0.0)
+
+    import numpy as np
 
     a = _log_matrix(pattern)
     candidates: list[np.ndarray] = [np.full(r, 1.0 / r)]

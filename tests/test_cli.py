@@ -162,6 +162,20 @@ def test_oracle_extremal_without_n_is_a_usage_error(capsys):
     assert _usage_error(capsys, ["oracle", "extremal", "--k", "3,3"])
 
 
+def test_negative_n_is_a_usage_error(tmp_path, capsys):
+    k = core.validate_sequence([3, 3])
+    path = tmp_path / "opt.json"
+    path.write_text(json.dumps(core.triple_to_json(constructions.known_optimum(k), k)))
+    assert _usage_error(capsys, ["oracle", "extremal", "--n", "-1", "--k", "3,3"])
+    assert _usage_error(capsys, ["oracle", "blowup", "--n", "-3", "--input", str(path)])
+    # the file is a valid input: n = 0 is accepted
+    assert run_cli(capsys, ["oracle", "blowup", "--n", "0", "--input", str(path)])[0] == 0
+
+
+def test_negative_budget_is_a_usage_error(capsys):
+    assert _usage_error(capsys, ["q2", "--k", "3,3", "--budget", "-5"])
+
+
 def test_oracle_blowup_without_input_is_a_usage_error(capsys):
     assert _usage_error(capsys, ["oracle", "blowup", "--n", "6"])
 
