@@ -114,8 +114,8 @@ class LogLinear:
             digits *= 2
 
     def _size(self) -> float:
-        """The sum of the terms' absolute values, about which the float
-        value errs by a few units in the last place per term."""
+        """The sum of the terms' absolute values: the float value's error
+        is at most a few units in the last place of this sum per term."""
         return abs(float(self.rational)) + sum(abs(float(c)) * math.log2(p) for p, c in self.coeffs.items())
 
     def __lt__(self, other: "LogLinear") -> bool:

@@ -14,8 +14,8 @@ optimum is memoised on the multiplicities in pair order (a second bounded
 cache): the patterns of a search share few of them.
 
 numpy is imported inside the functions that build arrays, never at module
-level, so the commands that solve no KKT system (certify, extension,
-tables, capacity, oracle) never load it.
+level, so importing this module does not load it; of the er-lab commands
+only q2, which solves KKT systems, does.
 """
 
 from __future__ import annotations
