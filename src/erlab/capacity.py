@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import core
 from .core import NotBasicOptimal
-from .graphs import SimpleGraph, has_clique, max_clique, maximal_cliques
+from .graphs import SimpleGraph, has_clique, maximal_cliques
 
 
 class NotKFree(core.ErlabError):
@@ -157,9 +157,3 @@ def validate_nocap(triple: core.FeasibleTriple, k: core.ColourSeq) -> dict:
     if not report["r_at_least_k2_minus_1"]:
         report["passed"] = False
     return report
-
-
-def capacity_member_bruteforce(g: SimpleGraph, k: int, vec) -> bool:
-    """Oracle: construct the blow-up explicitly and take its clique number."""
-    size, _ = max_clique(blowup(g, list(vec)))
-    return size < k

@@ -52,11 +52,13 @@ def _parse_constraint(text: str) -> lp.Constraint:
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise UsageError(str(exc)) from exc
+    except ValueError as exc:  # not JSON, or not text
+        raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _load_graph(path: str) -> SimpleGraph:
@@ -436,9 +438,6 @@ def run(argv) -> int:
     except core.ErlabError as exc:
         report = _report("error", vars(args), {"error": type(exc).__name__, "message": str(exc)})
         _emit(report, args.format)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -9,7 +9,6 @@ existing vertex (with no colours on the joining pair).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -38,14 +37,6 @@ class ExtensionVerdict:
     clone_targets: dict
     exhaustive: bool
     details: list = field(default_factory=list)
-
-
-def ext_value(profile, weighting) -> float:
-    return sum(
-        float(weighting[i]) * math.log2(len(cs))
-        for i, cs in enumerate(profile)
-        if cs
-    )
 
 
 def enumerate_optimal_attachments(

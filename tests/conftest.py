@@ -4,10 +4,12 @@ oracles (kept deliberately naive so they share no logic with the library)."""
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from erlab import core
-from erlab.graphs import SimpleGraph
+from erlab.capacity import blowup
+from erlab.graphs import SimpleGraph, max_clique
 
 
 def random_colour_sets(rng, s, allow_empty=True):
@@ -80,3 +82,14 @@ def brute_force_max_clique(g: SimpleGraph) -> int:
             if all(g.has_edge(u, v) for u, v in itertools.combinations(sub, 2)):
                 return size
     return best
+
+
+def capacity_member_bruteforce(g: SimpleGraph, k: int, vec) -> bool:
+    """Oracle: construct the blow-up explicitly and take its clique number."""
+    size, _ = max_clique(blowup(g, list(vec)))
+    return size < k
+
+
+def ext_value(profile, weighting) -> float:
+    """The attachment's contribution sum alpha_i log2|cs_i|, summed directly."""
+    return sum(float(weighting[i]) * math.log2(len(cs)) for i, cs in enumerate(profile) if cs)

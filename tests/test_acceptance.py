@@ -10,6 +10,8 @@ import time
 from fractions import Fraction
 
 from conftest import (
+    capacity_member_bruteforce,
+    ext_value,
     random_float_simplex,
     random_pattern,
     random_rational_simplex,
@@ -230,7 +232,7 @@ def test_criterion_5_capacity():
                     cap = capacity.capacity(g, kk)
                 except capacity.NotKFree:
                     continue
-                assert cap.contains(vec) == capacity.capacity_member_bruteforce(
+                assert cap.contains(vec) == capacity_member_bruteforce(
                     g, kk, vec
                 )
     elapsed = time.perf_counter() - start
@@ -297,7 +299,7 @@ def test_criterion_6c_ext_bounded():
         ok, _ = core.is_feasible(ext_pattern, k, 0)
         if not ok:
             continue
-        assert extension.ext_value(profile, t.weighting) <= q + 1e-9
+        assert ext_value(profile, t.weighting) <= q + 1e-9
         done += 1
     print(f"\n[criterion 6c] PASS: 1000 feasible attachments obey ext <= Q")
 

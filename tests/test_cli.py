@@ -186,6 +186,25 @@ def test_malformed_json_is_a_usage_error(tmp_path, capsys):
     assert _usage_error(capsys, ["verify", "--pattern", str(path)])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["capacity", "--k", "3", "--graph"], ["verify", "--pattern"], ["certify", "--k", "3,3", "--construction"]],
+    ids=["capacity", "verify", "certify"],
+)
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # a directory, a file that is not text, a missing file and one that cannot be opened
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (tmp_path, binary, tmp_path / "missing.json"):
+        assert _usage_error(capsys, argv + [str(path)]), path
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    assert _usage_error(capsys, argv + [str(binary)])
+
+
 def test_pattern_without_k_is_a_usage_error(tmp_path, capsys):
     k = core.validate_sequence([3, 3])
     obj = core.triple_to_json(constructions.known_optimum(k), k)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import ext_value
 
 from erlab import constructions, core, extension
 
@@ -64,7 +65,7 @@ def test_ext_bounded_by_q_random_attachments():
         ok, _ = core.is_feasible(ext_pattern, k, 0)
         if not ok:
             continue
-        ext = extension.ext_value(profile, t.weighting)
+        ext = ext_value(profile, t.weighting)
         assert ext <= q + 1e-9
         tested += 1
     assert tested > 15

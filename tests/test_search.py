@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_colour_sets, random_pattern
+from conftest import ext_value, random_colour_sets, random_pattern
 
 from erlab import constructions, core, search
 from erlab.graphs import has_clique
@@ -295,6 +295,42 @@ def test_budgeted_attachment_rows_match_the_per_candidate_kernel():
             assert core.attachment_rows(pattern, k, subsets, new, **weighted) == expected, (k, b)
             assert (new.used, new.refused) == (old.used, old.refused), (k, b)
     assert nodes == 403696 and rows
+
+
+def test_weighted_attachment_rows_meet_every_reachable_target():
+    # random weights on small random patterns; each distinct contribution of
+    # a feasible row is a target that the look-ahead bound must not cut
+    rng = random.Random(12)
+    tried = 0
+    for s, r_max in [(2, 5), (3, 4), (4, 3)]:
+        for r in range(1, r_max + 1):
+            for _ in range(3):
+                k = core.validate_sequence([rng.randint(3, 5) for _ in range(s)])
+                pattern = random_pattern(rng, r, k)
+                if pattern is None:
+                    continue
+                alpha = [rng.uniform(0.05, 1.0) for _ in range(r)]
+                for least in (0, 2):
+                    subsets = core.colour_subsets(s, least)
+                    feasible = brute_force_rows(pattern, k, subsets)
+                    values = {ext_value(row, alpha) for row in feasible}
+                    for target in sorted(values) + [max(values, default=0.0) + 0.5]:
+                        expected = [row for row in feasible if abs(ext_value(row, alpha) - target) <= 1e-9]
+                        got = core.attachment_rows(pattern, k, subsets, alpha=alpha, target=target)
+                        assert got == expected, (k, pattern, alpha, target)
+                        tried += 1
+    assert tried > 300
+
+
+def test_full_affine_plane_rows_match_the_per_candidate_kernel():
+    # the (4,4,4,4) optimum AG(2,3): the look-ahead bound against the static one
+    t = constructions.affine_plane_triple()
+    k = core.validate_sequence([4, 4, 4, 4])
+    subsets = core.colour_subsets(k.s, 0)
+    q = core.q_value(t).numeric_value
+    rows = core.attachment_rows(t.pattern, k, subsets, alpha=t.weighting, target=q)
+    assert rows == per_candidate_rows(t.pattern, k, subsets, alpha=t.weighting, target=q)
+    assert len(rows) == 9
 
 
 def test_search_counters_are_pinned():
