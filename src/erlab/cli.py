@@ -72,7 +72,10 @@ def _load_triple(path: str) -> tuple:
     obj = _load_json(path)
     if not isinstance(obj, dict) or "k" not in obj or "r" not in obj:
         raise UsageError(f'{path} is not a pattern: it needs "k" and "r"')
-    return core.triple_from_json(obj)
+    try:
+        return core.triple_from_json(obj)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path} is not a pattern: {exc}") from exc
 
 
 def render_form(form: LogLinear) -> dict:

@@ -214,6 +214,18 @@ def test_pattern_without_k_is_a_usage_error(tmp_path, capsys):
     assert _usage_error(capsys, ["symmetrise", "--input", str(path)])
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"pairs": [[1, 2]]}, {"r": "two"}, {"alpha": ["x", "y"]}, {"pairs": 5}],
+    ids=["pair-without-colours", "r-not-an-integer", "alpha-not-a-number", "pairs-not-a-list"],
+)
+def test_malformed_pattern_is_a_usage_error(tmp_path, capsys, fields):
+    path = tmp_path / "bad_pattern.json"
+    path.write_text(json.dumps({"k": [3, 3], "r": 2, **fields}))
+    for argv in (["verify", "--pattern"], ["symmetrise", "--input"], ["extension", "--k", "3,3", "--opt"]):
+        assert _usage_error(capsys, argv + [str(path)]), argv
+
+
 def test_q2_rmax_below_two_is_an_error(capsys):
     for rmax in ("0", "1"):
         code, out = run_cli(capsys, ["q2", "--k", "3,3", "--rmax", rmax])
