@@ -94,14 +94,14 @@ def render_number(x) -> dict:
     return {"decimal": f"{float(x):.15f}", "exact": False}
 
 
-def _report(command: str, inputs: dict, results: dict, certificates=None, seconds=None):
+def _report(command: str, inputs: dict, results: dict, certificates=None):
     return {
         "schema": SCHEMA,
         "command": command,
         "inputs": inputs,
         "results": results,
         "certificates": certificates or [],
-        "timing": None if seconds is None else {"seconds": round(seconds, 3)},
+        "timing": None,  # `run` times every command but tables
     }
 
 

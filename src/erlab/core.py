@@ -77,6 +77,8 @@ def validate_sequence(raw) -> ColourSeq:
         raise EmptySequence("need at least one clique order")
     if len(entries) == 1:
         raise SingleColour("a single colour admits only the trivial problem")
+    if not all(isinstance(k, int) for k in entries):
+        raise ErlabError(f"clique orders must be integers, got {entries}")
     if any(k < 3 for k in entries):
         # k_c = 2 would just forbid the colour entirely; refuse instead of reducing
         raise EntryBelowThree(f"clique orders must be >= 3, got {entries}")
@@ -225,44 +227,34 @@ def attachment_rows(
     budget=None,
     alpha=None,
     target: float = 0.0,
-    tol: float = 1e-9,
 ) -> list[tuple]:
     """The rows of colour sets from `subsets`, one per vertex of `pattern`,
     that join a new vertex without a K_{k_c} in any colour c, in
     lexicographic order of their subset indices (a DFS over the vertices).
 
-    nbr[c] holds the earlier vertices joined to the new one in colour c; as
-    the prefix passed, vertex j may take c iff nbr[c] & adj_c[j] spans no
-    K_{k_c - 2}.  The colours that fail at a DFS node are banned there, and
-    only the sets that avoid them are walked.  With weights `alpha`, only
-    rows whose sum of alpha_j log2|cs_j| is within `tol` of `target` are
-    kept, and a set whose gain cannot reach it is not entered.
-
-    Without a budget (the extension check) the bound looks ahead: the
-    banned colours of every later vertex i are kept under the current nbr.
-    nbr only grows along a path, so such a colour fails in every completion,
-    and i adds at most alpha_i log2 (colours left), 0 if none.  They are
-    updated as each set is entered at vertex j: a colour that passed can
-    only fail by a clique through j, a K_{k_c - 3} in
-    nbr[c] & adj_c[i] & adj_c[j].  A pruned subtree holds no row that meets
-    the target, so the rows are those of the static bound.  With a budget
-    (and in the search, which has no weights) each colour is tested once per
-    node and the bound is static, alpha_i log2 s per later vertex.  The
-    budget is charged one node per candidate set, banned ones included, in
-    order: the banned sets before a walked one are charged in one batch with
-    it (`budget.spend(n)`), the banned sets after the last in one more; the
-    DFS stops once it refuses.
+    nbr[c] holds the earlier vertices joined to the new one in colour c;
+    vertex i may take c iff nbr[c] & adj_c[i] spans no K_{k_c - 2}.  The
+    colours that fail are kept for every later vertex and only the sets that
+    avoid a node's own are walked.  nbr only grows along a path, so a failed
+    colour fails in every completion, and entering a set at vertex j can
+    only fail colour c at i by a clique through j: a K_{k_c - 3} in
+    nbr[c] & adj_c[i] & adj_c[j].  With weights `alpha`, only rows whose sum
+    of alpha_i log2|cs_i| is within 1e-9 of `target` are kept, and a set is
+    not entered when the rest of the row, each later vertex i credited
+    alpha_i log2 (colours left at i), cannot reach it.  A `budget` (search
+    only: weights with a budget are refused) is charged one node per
+    candidate set, failed ones included, in order, the skipped sets in
+    batches (`budget.spend(n)`); the DFS stops once it refuses.
     """
+    if budget is not None and alpha is not None:
+        raise ErlabError("attachment_rows takes weights or a budget, not both")
     r, s = pattern.r, k.s
+    tol = 1e-9
     weights = [0.0] * r if alpha is None else [float(a) for a in alpha]
-    bound = [0.0] * (r + 1)
-    for i in range(r - 1, -1, -1):
-        bound[i] = bound[i + 1] + weights[i] * math.log2(s)
-    look = alpha is not None and budget is None
     # log2 of the colours that a banned mask leaves (colour c is bit c), 0 for none
-    free_log = [math.log2(max(s - bin(b).count("1"), 1)) for b in range(2 << s)] if look else None
+    free_log = [math.log2(max(s - bin(b).count("1"), 1)) for b in range(2 << s)]
     adj = {c: pattern.colour_graph(c).adjacency_masks() for c in k.colours()}
-    tests = [[(c, adj[c], adj[c][j], k[c] - 2, 1 << c) for c in k.colours()] for j in range(r)]
+    tests = [[(adj[c], adj[c][i], k[c] - 2, 1 << c) for c in k.colours()] for i in range(r)]
     candidates = [
         (i, cs, math.log2(len(cs)) if cs else 0.0, sum(1 << c for c in cs))
         for i, cs in enumerate(subsets)
@@ -273,32 +265,14 @@ def attachment_rows(
     row: list[frozenset] = []
     out: list[tuple] = []
 
-    def retest(i: int, banned: int, cs, j: int) -> int:
-        """`banned` and the colours of cs that vertex i fails once vertex j
-        has joined nbr in them."""
-        for c in cs:
-            _, adj_c, adj_ci, need, cbit = tests[i][c - 1]  # colours are 1..s
-            if adj_ci >> j & 1 and not banned & cbit:
-                m = nbr[c] & adj_ci & adj_c[j]
-                if need == 1 or m and (need == 2 or has_clique(adj_c, need - 1, m) is not None):
-                    banned |= cbit
-        return banned
-
-    def dfs(j: int, ext: float, known):
+    def dfs(j: int, ext: float, known: list):
+        """known[x] holds the banned colours of vertex j + x."""
         if j == r:
             if abs(ext - target) <= tol:
                 out.append(tuple(row))
             return
-        if look:  # known[i] holds the banned colours of vertex j + i
-            banned = known[0]
-            rest = sum(w * free_log[b] for w, b in zip(weights[j + 1 :], known[1:]))
-        else:
-            banned = 0
-            for c, adj_c, adj_cj, need, cbit in tests[j]:
-                m = nbr[c] & adj_cj
-                if m and (need == 1 or has_clique(adj_c, need, m) is not None):
-                    banned |= cbit
-            rest = bound[j + 1]
+        banned = known[0]
+        rest = 0.0 if alpha is None else sum(w * free_log[b] for w, b in zip(weights[j + 1 :], known[1:]))
         walk = fitting.get(banned)
         if walk is None:
             walk = fitting[banned] = [(i, cs, log) for i, cs, log, mask in candidates if not mask & banned]
@@ -314,7 +288,15 @@ def attachment_rows(
             for c in cs:
                 nbr[c] |= bit
             row.append(cs)
-            later = [retest(v, b, cs, j) for v, b in enumerate(known[1:], j + 1)] if look else None
+            later = []
+            for i, b in enumerate(known[1:], j + 1):
+                for c in cs:
+                    adj_c, adj_ci, need, cbit = tests[i][c - 1]  # colours are 1..s
+                    if adj_ci & bit and not b & cbit:
+                        m = nbr[c] & adj_ci & adj_c[j]
+                        if need == 1 or m and (need == 2 or has_clique(adj_c, need - 1, m) is not None):
+                            b |= cbit
+                later.append(b)
             dfs(j + 1, ext + gain, later)
             row.pop()
             for c in cs:

@@ -39,25 +39,19 @@ class ExtensionVerdict:
     details: list = field(default_factory=list)
 
 
-def enumerate_optimal_attachments(
-    triple: core.FeasibleTriple,
-    k: core.ColourSeq,
-    q_target: float | None = None,
-    tol: float = 1e-9,
-) -> list:
-    """All feasible attachments whose contribution meets the optimum.
+def enumerate_optimal_attachments(triple: core.FeasibleTriple, k: core.ColourSeq) -> list:
+    """All feasible attachments whose contribution meets the optimum q.
 
     The rows of `core.attachment_rows` over every colour set, the empty one
     included; its pruning by the remaining-contribution bound and by
     incremental clique containment preserves completeness.
     """
-    check = search.verify_candidate(triple, k, core.q_value(triple))
+    q = core.q_value(triple)
+    check = search.verify_candidate(triple, k, q)
     if not check["passed"]:
         raise NotBasicOptimal(f"candidate fails basic-optimality checks: {check['checks']}")
-    if q_target is None:
-        q_target = core.q_value(triple).numeric_value
     rows = core.attachment_rows(
-        triple.pattern, k, core.colour_subsets(k.s, 0), alpha=triple.weighting, target=q_target, tol=tol
+        triple.pattern, k, core.colour_subsets(k.s, 0), alpha=triple.weighting, target=q.numeric_value
     )
     return [Attachment(row) for row in rows]
 
@@ -82,8 +76,7 @@ def check_extension_property(
     clone_targets = {}
     details = []
     for idx, triple in enumerate(opt_set):
-        q_target = core.q_value(triple).numeric_value
-        attachments = enumerate_optimal_attachments(triple, k, q_target)
+        attachments = enumerate_optimal_attachments(triple, k)
         for att in attachments:
             ext_pattern = att.extend(triple.pattern)
             j, status = _clone_target(ext_pattern, triple.pattern.r)

@@ -5,8 +5,7 @@ enumerate every support, solve the stationarity (KKT) system on it, and take
 the global maximum over all admissible stationary points, simplex vertices
 and the uniform point.  The system on a support depends only on the support
 sub-matrix, so each distinct one is solved once per process (a bounded
-cache).  Only on request (`cross_check=True`; off by default) does a
-random-restart projected-gradient pass add its point as a further candidate.
+cache).
 
 q depends on a pattern only through its pair multiplicities |phi(ij)|; the
 colours matter only for feasibility.  So after the feasibility check the
@@ -23,7 +22,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -63,30 +61,6 @@ def _log_matrix(pattern: core.ColourPattern) -> np.ndarray:
 
 def _q_of(a: np.ndarray, x: np.ndarray) -> float:
     return float(x @ a @ x)
-
-
-def _projected_gradient(a: np.ndarray, x: np.ndarray, iters: int = 400) -> np.ndarray:
-    """Ascent on q(x) = x^T A x over the simplex (projection by sorting)."""
-    import numpy as np
-
-    n = len(x)
-    step = 0.1
-    for _ in range(iters):
-        grad = 2 * a @ x
-        y = x + step * grad
-        # Euclidean projection onto the simplex
-        u = np.sort(y)[::-1]
-        css = np.cumsum(u) - 1
-        rho = np.nonzero(u - css / (np.arange(n) + 1) > 0)[0][-1]
-        theta = css[rho] / (rho + 1)
-        xn = np.maximum(y - theta, 0)
-        if _q_of(a, xn) <= _q_of(a, x) + 1e-15:
-            step *= 0.5
-            if step < 1e-12:
-                break
-        else:
-            x = xn
-    return x
 
 
 # Distinct support sub-matrices are few (their entries are log2 of small
@@ -162,13 +136,7 @@ def _rationalise(x: np.ndarray, a: np.ndarray) -> tuple | None:
     return tuple(fracs)
 
 
-def optimize_weights(
-    pattern: core.ColourPattern,
-    k: core.ColourSeq,
-    *,
-    rng_seed: int = 20240,
-    cross_check: bool = False,
-) -> WeightOptimum:
+def optimize_weights(pattern: core.ColourPattern, k: core.ColourSeq) -> WeightOptimum:
     r = pattern.r
     if r > 16:
         raise DimensionTooLarge(f"support enumeration infeasible for r={r}")
@@ -176,7 +144,7 @@ def optimize_weights(
     if not ok:
         raise InfeasiblePattern(f"pattern infeasible for {k}: {witness}")
     mults = tuple((p, len(cs)) for p, cs in pattern.assignment.items())
-    return _optimum(r, mults, rng_seed, cross_check)
+    return _optimum(r, mults)
 
 
 # Patterns of one search share few multiplicity patterns, so each optimum
@@ -185,7 +153,7 @@ _OPTIMUM_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=_OPTIMUM_CACHE_SIZE)
-def _optimum(r: int, mults: tuple, rng_seed: int, cross_check: bool) -> WeightOptimum:
+def _optimum(r: int, mults: tuple) -> WeightOptimum:
     """The optimum for any pattern whose pairs, in `mults` order, carry the
     given multiplicities, computed on a stand-in with colours 0..m-1: q sees
     nothing else of the colours.  The pair order is part of the key because
@@ -210,17 +178,6 @@ def _optimum(r: int, mults: tuple, rng_seed: int, cross_check: bool) -> WeightOp
             x = _stationary_on_support(a, support)
             if x is not None:
                 candidates.append(x)
-
-    if cross_check:
-        rng = random.Random(rng_seed)
-        best_rand, best_rand_val = None, -1.0
-        for _ in range(10_000):
-            raw = np.array([-math.log(rng.random()) for _ in range(r)])
-            x = raw / raw.sum()
-            val = _q_of(a, x)
-            if val > best_rand_val:
-                best_rand, best_rand_val = x, val
-        candidates.append(_projected_gradient(a, best_rand))
 
     def sort_key(x: np.ndarray):
         support = tuple(i for i in range(r) if x[i] > 1e-12)

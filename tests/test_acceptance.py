@@ -273,7 +273,7 @@ def test_criterion_6b_stationarity():
         p = random_pattern(rng, r, k, level=1)
         if p is None:
             continue
-        opt = weights.optimize_weights(p, k, cross_check=False)
+        opt = weights.optimize_weights(p, k)
         assert opt.stationarity_residual <= 1e-8, (p.assignment, opt)
         done += 1
     print(f"\n[criterion 6b] PASS: 1000 stationary optimiser outputs")

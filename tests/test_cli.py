@@ -234,6 +234,17 @@ def test_q2_rmax_below_two_is_an_error(capsys):
         assert report["command"] == "error" and report["results"]["error"] == "ErlabError"
 
 
+def test_non_integer_clique_order_is_an_error(tmp_path, capsys):
+    k = core.validate_sequence([3, 3])
+    pattern = core.triple_to_json(constructions.known_optimum(k), k)
+    path = tmp_path / "pattern.json"
+    for entries in ([3.5, 3], [3.0, 3], ["3", 3]):
+        path.write_text(json.dumps({**pattern, "k": entries}))
+        code, out = run_cli(capsys, ["verify", "--pattern", str(path)])
+        assert code == 1, entries
+        assert json.loads(out)["results"]["error"] == "ErlabError", entries
+
+
 def test_report_has_no_threads_key(capsys):
     code, out = run_cli(capsys, ["lp", "--k", "3,3"])
     assert code == 0 and "threads" not in json.loads(out)

@@ -27,6 +27,8 @@ def test_validate_sequence_sorts_and_rejects():
         core.validate_sequence([4])
     with pytest.raises(core.EntryBelowThree):
         core.validate_sequence([3, 2])
+    with pytest.raises(core.ErlabError):
+        core.validate_sequence([3.5, 3])
 
 
 def test_pattern_rejects_loops_and_bad_indices():

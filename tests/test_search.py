@@ -278,23 +278,26 @@ def test_budgeted_attachment_rows_match_the_per_candidate_kernel():
         k = core.validate_sequence([3, 3, 3, 3] if t.r == 4 else [4, 4, 4, 4])
         q = core.q_value(t).numeric_value
         cases.append((t.pattern, k, core.colour_subsets(k.s, 0), {"alpha": t.weighting, "target": q}))
-    rng = random.Random(5)
     for pattern, k, subsets, weighted in cases:
         unbudgeted = search._Budget(10**9)
         rows = per_candidate_rows(pattern, k, subsets, unbudgeted, **weighted)
         assert core.attachment_rows(pattern, k, subsets, **weighted) == rows
         nodes = unbudgeted.used
-        # every budget, but for AG(2,3) minus a line (403,696 nodes): every
-        # budget up to 1,000 and a seeded sample of the rest
-        budgets = range(1, nodes + 2) if nodes < 5000 else [
-            *range(1, 1001), *sorted(rng.sample(range(1001, nodes), 10)), nodes - 1, nodes, nodes + 1
-        ]
-        for b in budgets:
+        if weighted:  # attachment_rows refuses weights with a budget
+            continue
+        for b in range(1, nodes + 2):
             old, new = search._Budget(b), search._Budget(b)
             expected = per_candidate_rows(pattern, k, subsets, old, **weighted)
             assert core.attachment_rows(pattern, k, subsets, new, **weighted) == expected, (k, b)
             assert (new.used, new.refused) == (old.used, old.refused), (k, b)
     assert nodes == 403696 and rows
+
+
+def test_attachment_rows_refuse_weights_with_a_budget():
+    t = constructions.four_colour_triangle_triple()
+    k = core.validate_sequence([3, 3, 3, 3])
+    with pytest.raises(core.ErlabError):
+        core.attachment_rows(t.pattern, k, core.colour_subsets(k.s, 0), search._Budget(10), alpha=t.weighting)
 
 
 def test_weighted_attachment_rows_meet_every_reachable_target():
