@@ -289,11 +289,11 @@ def attachment_rows(
                 nbr[c] |= bit
             row.append(cs)
             later = []
-            for i, b in enumerate(known[1:], j + 1):
+            for v, b in enumerate(known[1:], j + 1):
                 for c in cs:
-                    adj_c, adj_ci, need, cbit = tests[i][c - 1]  # colours are 1..s
-                    if adj_ci & bit and not b & cbit:
-                        m = nbr[c] & adj_ci & adj_c[j]
+                    adj_c, adj_cv, need, cbit = tests[v][c - 1]  # colours are 1..s
+                    if adj_cv & bit and not b & cbit:
+                        m = nbr[c] & adj_cv & adj_c[j]
                         if need == 1 or m and (need == 2 or has_clique(adj_c, need - 1, m) is not None):
                             b |= cbit
                 later.append(b)
