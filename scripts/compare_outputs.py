@@ -10,6 +10,8 @@ Each checkout runs the same ``er-lab`` commands in-process, from its own
 - ``tables`` in JSON and in tsv
 - ``certify --k`` and ``extension --k`` for the 15 solved families of
   ``tables``, and ``extension --k 4,4,4,4 --opt`` on AG(2,3) minus a line
+- ``certify --constraint``: (3,3,3,3) with its valid ({3,4}, 3) and (5,3)
+  with ({2}, 7), which leaves a GAP; and ``lp --k 3,3,3,3``
 - the ``oracle count`` and ``oracle extremal`` operations of the
   oracle-bruteforce workload (seed 11)
 
@@ -32,6 +34,11 @@ import tempfile
 
 EXTRA_Q2 = [("3,3,3,3", 6), ("4,4,4", 6), ("5,5,5", 5)]
 SEED = 11
+LP_COMMANDS = [
+    ["certify", "--k", "3,3,3,3", "--constraint", "T=3,4:cap=3"],
+    ["certify", "--k", "5,3", "--constraint", "T=2:cap=7"],
+    ["lp", "--k", "3,3,3,3"],
+]
 
 # run in each checkout: every argv of the list on stdin through erlab.cli.run,
 # its exit code and standard output written as one JSON list
@@ -62,6 +69,7 @@ def commands(change: str, workdir: str) -> list:
     with open(ag_path, "w") as fh:
         json.dump(workloads.AG23_MINUS_LINE, fh)
     argvs.append(["extension", "--k", "4,4,4,4", "--opt", ag_path])
+    argvs += LP_COMMANDS
     oracle = workloads.Workload("oracle-bruteforce", SEED, workdir, reference={})
     return argvs + [op.argv for op in oracle.ops]
 

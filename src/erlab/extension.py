@@ -21,75 +21,59 @@ class EmptyOptSet(core.ErlabError):
     pass
 
 
-@dataclass(frozen=True)
-class Attachment:
-    profile: tuple  # frozenset per existing vertex
-
-    def extend(self, pattern: core.ColourPattern) -> core.ColourPattern:
-        return pattern.attach(self.profile)
-
-
 @dataclass
 class ExtensionVerdict:
     holds: bool
     strong_holds: bool
     witnesses: list
-    clone_targets: dict
-    exhaustive: bool
     details: list = field(default_factory=list)
 
 
 def enumerate_optimal_attachments(triple: core.FeasibleTriple, k: core.ColourSeq) -> list:
-    """All feasible attachments whose contribution meets the optimum q.
-
-    The rows of `core.attachment_rows` over every colour set, the empty one
-    included; its pruning by the remaining-contribution bound and by
-    incremental clique containment preserves completeness.
+    """All feasible attachments whose contribution meets the optimum q: the
+    rows of `core.attachment_rows` over every colour set, the empty one
+    included, each a tuple of one frozenset per existing vertex.  The DFS
+    prunes only by the remaining-contribution bound and by incremental
+    clique containment, so no attachment is lost.
     """
     q = core.q_value(triple)
     check = search.verify_candidate(triple, k, q)
     if not check["passed"]:
         raise NotBasicOptimal(f"candidate fails basic-optimality checks: {check['checks']}")
-    rows = core.attachment_rows(
+    return core.attachment_rows(
         triple.pattern, k, core.colour_subsets(k.s, 0), alpha=triple.weighting, target=q.numeric_value
     )
-    return [Attachment(row) for row in rows]
 
 
-def _clone_target(pattern_ext: core.ColourPattern, new: int):
+def _clone_status(pattern_ext: core.ColourPattern, new: int) -> core.CloneStatus:
+    """How the new vertex clones the first existing vertex it clones."""
     for j in range(new):
         status = core.clone_status(pattern_ext, new, j)
         if status is not core.CloneStatus.NOT_CLONE:
-            return j, status
-    return None, core.CloneStatus.NOT_CLONE
+            return status
+    return core.CloneStatus.NOT_CLONE
 
 
-def check_extension_property(
-    opt_set, k: core.ColourSeq, exhaustive: bool = False
-) -> ExtensionVerdict:
+def check_extension_property(opt_set, k: core.ColourSeq) -> ExtensionVerdict:
     """Verdict over the supplied basic optima; only as strong as opt_set."""
     opt_set = list(opt_set)
     if not opt_set:
         raise EmptyOptSet("extension property quantifies over basic optima")
     holds, strong = True, True
     witnesses = []
-    clone_targets = {}
     details = []
     for idx, triple in enumerate(opt_set):
         attachments = enumerate_optimal_attachments(triple, k)
         for att in attachments:
-            ext_pattern = att.extend(triple.pattern)
-            j, status = _clone_target(ext_pattern, triple.pattern.r)
+            status = _clone_status(triple.pattern.attach(att), triple.pattern.r)
             if status is core.CloneStatus.NOT_CLONE:
                 holds = False
                 strong = False
                 witnesses.append((idx, att))
-            else:
-                clone_targets[(idx, att)] = j
-                if status is not core.CloneStatus.STRONG_CLONE:
-                    strong = False
+            elif status is not core.CloneStatus.STRONG_CLONE:
+                strong = False
         details.append({"optimum": idx, "attachments": len(attachments)})
-    return ExtensionVerdict(holds, strong, witnesses, clone_targets, exhaustive, details)
+    return ExtensionVerdict(holds, strong, witnesses, details)
 
 
 def numcheck_certificate(triple: core.FeasibleTriple, k: core.ColourSeq):
@@ -150,12 +134,7 @@ def _is_balanced_turan(pattern: core.ColourPattern, c: int, parts: int) -> bool:
     return len({bin(p).count("1") for p in found}) == 1
 
 
-def char_decompose(
-    triple: core.FeasibleTriple,
-    opt_star: core.FeasibleTriple,
-    k: core.ColourSeq,
-    q_target: float | None = None,
-):
+def char_decompose(triple: core.FeasibleTriple, opt_star: core.FeasibleTriple, k: core.ColourSeq):
     """Partition a level-0 optimum as a blow-up of a basic optimum.
 
     Conditions: part weights match, cross pairs copy the basic pattern,
@@ -165,9 +144,7 @@ def char_decompose(
     ok, witness = core.is_feasible(triple.pattern, k, level=0)
     if not ok:
         return None, f"input not feasible: {witness}"
-    if q_target is None:
-        q_target = core.q_value(opt_star).numeric_value
-    if abs(core.q_value(triple).numeric_value - q_target) > 1e-9:
+    if abs(core.q_value(triple).numeric_value - core.q_value(opt_star).numeric_value) > 1e-9:
         return None, "q below optimum"
     pattern = triple.pattern
     rstar = opt_star.pattern.r

@@ -54,56 +54,14 @@ def turan_graph(parts: int, n: int) -> SimpleGraph:
     return SimpleGraph(n, frozenset(edges))
 
 
-def max_clique_masks(adj: list[int]) -> tuple[int, list[int]]:
-    """Exact clique number via branch and bound with greedy colouring bound.
-
-    Returns (size, witness vertices).
-    """
-    n = len(adj)
-    if n == 0:
-        return 0, []
-    best: list[int] = []
-
-    def colour_bound(cand: list[int]) -> list[tuple[int, int]]:
-        # greedy colouring of candidates; returns (vertex, colour class index)
-        order: list[tuple[int, int]] = []
-        uncoloured = list(cand)
-        colour = 0
-        while uncoloured:
-            colour += 1
-            cls_mask = 0
-            rest = []
-            for v in uncoloured:
-                if adj[v] & cls_mask:
-                    rest.append(v)
-                else:
-                    cls_mask |= 1 << v
-                    order.append((v, colour))
-            uncoloured = rest
-        return order
-
-    def expand(clique: list[int], cand_mask: int):
-        nonlocal best
-        cand = [v for v in range(n) if cand_mask >> v & 1]
-        order = colour_bound(cand)
-        for v, colour in reversed(order):
-            if len(clique) + colour <= len(best):
-                return
-            clique.append(v)
-            new_mask = cand_mask & adj[v]
-            if new_mask:
-                expand(clique, new_mask)
-            elif len(clique) > len(best):
-                best = clique.copy()
-            clique.pop()
-            cand_mask &= ~(1 << v)
-
-    expand([], (1 << n) - 1)
-    return len(best), sorted(best)
-
-
 def max_clique(g: SimpleGraph) -> tuple[int, list[int]]:
-    return max_clique_masks(g.adjacency_masks())
+    """The clique number and the lexicographically least maximum clique:
+    `has_clique` is asked for a clique one vertex larger until none exists."""
+    adj = g.adjacency_masks()
+    best: list[int] = []
+    while (found := has_clique(adj, len(best) + 1)) is not None:
+        best = found
+    return len(best), best
 
 
 def has_clique(adj: list[int], k: int, within: int | None = None) -> list[int] | None:

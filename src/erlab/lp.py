@@ -15,7 +15,7 @@ solved exactly by rational vertex enumeration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import core, search
@@ -60,7 +60,6 @@ class LPSolution:
     d: tuple  # Fractions, indexed t = 2..s
     value: LogLinear
     unique: bool
-    optimal_vertices: list
     vertex_count: int
 
 
@@ -139,7 +138,6 @@ def solve_L(instance: LPInstance) -> LPSolution:
         d=optimal[0],
         value=best,
         unique=len(optimal) == 1,
-        optimal_vertices=optimal,
         vertex_count=len(vertices),
     )
 
@@ -150,18 +148,16 @@ def multiplicity_graph(pattern: core.ColourPattern, T) -> SimpleGraph:
     return SimpleGraph(pattern.r, edges)
 
 
-def constraint_validity_scan(
-    con: Constraint, k: core.ColourSeq, r_max: int, budget: int = 10**7
-):
+def constraint_validity_scan(con: Constraint, k: core.ColourSeq, r_max: int):
     """Search level-2 patterns up to r_max for a K_{k'} in H(T).
 
-    Returns (valid_so_far, counterexample pattern or None, exhaustive flag).
-    The scan refutes invalid constraints; it cannot prove validity beyond the
-    range searched.
+    Returns (valid_so_far, counterexample pattern or None, exhaustive flag);
+    the levels share a budget of 10**7 DFS nodes.  The scan refutes invalid
+    constraints; it cannot prove validity beyond the range searched.
     """
     if r_max < 2:
         raise core.ErlabError(f"r_max={r_max}: the scan needs r_max >= 2")
-    tracker = search._Budget(budget)
+    tracker = search._Budget(10**7)
     exhaustive = True
     for _, (reps, completed) in zip(range(2, r_max + 1), search.pattern_levels(k, tracker)):
         exhaustive = exhaustive and completed
@@ -201,7 +197,6 @@ class Certificate:
     construction: core.FeasibleTriple
     lp: LPSolution
     instance: LPInstance
-    checks: dict = field(default_factory=dict)
 
 
 def sandwich_certificate(
@@ -212,7 +207,9 @@ def sandwich_certificate(
     """Pin the optimum between a construction and the relaxation.
 
     EXACT means the two exact log-linear forms coincide, so the construction
-    value is the optimum.
+    value is the optimum.  A constraint that the construction breaks is
+    refuted by it (the construction is a feasible triple), so it raises
+    InvalidConstraint: the LP value would be no upper bound.
     """
     if instance is None:
         instance = LPInstance(k, recommended_constraints(k))
@@ -223,15 +220,16 @@ def sandwich_certificate(
         raise core.ErlabError("certificate needs an exact rational weighting")
     breakdown = core.q_value(construction)
     lower = breakdown.log_form
-    # the construction must itself satisfy every added constraint
-    checks = {"construction_feasible": True, "constraints_respected": True}
     for con in instance.constraints:
         mass = sum(
             (breakdown.d[t - 1] for t in con.T if t - 1 < len(breakdown.d)),
             Fraction(0),
         )
         if mass > con.cap:
-            checks["constraints_respected"] = False
+            raise InvalidConstraint(
+                f"constraint T={sorted(con.T)}, k'={con.kprime} is broken by the construction "
+                f"(mass {mass} > cap {con.cap}), so it is not valid"
+            )
     sol = solve_L(instance)
     exact = lower == sol.value
     return Certificate(
@@ -243,5 +241,4 @@ def sandwich_certificate(
         construction=construction,
         lp=sol,
         instance=instance,
-        checks=checks,
     )

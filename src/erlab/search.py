@@ -32,7 +32,6 @@ class CanonicalPattern:
 @dataclass
 class SearchResult:
     k: core.ColourSeq
-    r_range: list
     best_value: core.QBreakdown | None
     best_numeric: float
     optima: list  # FeasibleTriple, basic (level 2, all weights positive)
@@ -296,7 +295,6 @@ def solve_Q2(
     ordered = [optima[c] for c in sorted(optima)]
     return SearchResult(
         k=k,
-        r_range=list(range(2, r_max + 1)),
         best_value=best_value,
         best_numeric=best_numeric,
         optima=ordered,

@@ -295,7 +295,7 @@ def test_criterion_6c_ext_bounded():
             for cs in itertools.combinations(range(1, k.s + 1), size)
         ]
         profile = tuple(rng.choice(subsets) for _ in range(t.pattern.r))
-        ext_pattern = extension.Attachment(profile).extend(t.pattern)
+        ext_pattern = t.pattern.attach(profile)
         ok, _ = core.is_feasible(ext_pattern, k, 0)
         if not ok:
             continue

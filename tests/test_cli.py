@@ -94,6 +94,14 @@ def test_lp_and_certify(capsys):
     assert code == 2
 
 
+def test_certify_with_a_constraint_the_construction_breaks_is_an_error(capsys):
+    code, out = run_cli(capsys, ["certify", "--k", "3,3,3,3", "--constraint", "T=2,3:cap=3"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["command"] == "error"
+    assert report["results"]["error"] == "InvalidConstraint"
+
+
 def test_oracle_commands(tmp_path, capsys):
     path = tmp_path / "k33.json"
     path.write_text(json.dumps(graph_to_json(turan_graph(2, 6))))

@@ -33,11 +33,11 @@ def test_optimal_attachments_are_the_clones():
     # one optimal attachment per vertex: copy its row, empty joining pair
     assert len(atts) == 4
     for att in atts:
-        empties = [i for i, cs in enumerate(att.profile) if not cs]
+        empties = [i for i, cs in enumerate(att) if not cs]
         assert len(empties) == 1
         j = empties[0]
         assert all(
-            att.profile[x] == t.pattern.get(j, x) for x in range(4) if x != j
+            att[x] == t.pattern.get(j, x) for x in range(4) if x != j
         )
 
 
@@ -61,7 +61,7 @@ def test_ext_bounded_by_q_random_attachments():
     tested = 0
     for _ in range(400):
         profile = tuple(rng.choice(subsets) for _ in range(4))
-        ext_pattern = extension.Attachment(profile).extend(t.pattern)
+        ext_pattern = t.pattern.attach(profile)
         ok, _ = core.is_feasible(ext_pattern, k, 0)
         if not ok:
             continue

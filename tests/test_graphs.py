@@ -3,6 +3,7 @@ import random
 
 from conftest import brute_force_max_clique
 
+from erlab import oracle
 from erlab.graphs import (
     SimpleGraph,
     canonical_matrix_code,
@@ -23,13 +24,24 @@ def random_graph(rng, n, p=0.5):
     return SimpleGraph(n, frozenset(edges))
 
 
+def least_max_clique(g):
+    """The lexicographically least clique among the largest, by trying every
+    vertex subset, largest size first, in lexicographic order."""
+    for size in range(g.n, -1, -1):
+        for sub in itertools.combinations(range(g.n), size):
+            if all(g.has_edge(u, v) for u, v in itertools.combinations(sub, 2)):
+                return list(sub)
+
+
 def test_max_clique_matches_brute_force():
     rng = random.Random(42)
-    for _ in range(200):
-        g = random_graph(rng, rng.randint(1, 8), rng.random())
+    graphs = [random_graph(rng, rng.randint(1, 8), rng.random()) for _ in range(200)]
+    # every graph on at most 6 vertices up to isomorphism, 209 classes
+    graphs += [SimpleGraph(n, edges) for n in range(7) for edges in oracle.graph_classes(n)]
+    for g in graphs:
         size, witness = max_clique(g)
         assert size == brute_force_max_clique(g)
-        assert all(g.has_edge(u, v) for i, u in enumerate(witness) for v in witness[i + 1 :])
+        assert witness == least_max_clique(g)
 
 
 def test_has_clique_witness_is_a_clique():

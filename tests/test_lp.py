@@ -131,6 +131,15 @@ def test_sandwich_certificate_reports_gap():
     assert cert.gap > 0
 
 
+def test_sandwich_certificate_refuses_a_constraint_its_construction_breaks():
+    # the (3,3,3,3) optimum has d_2 + d_3 = 1/4 + 1/2 > 1/2, so it refutes
+    # ({2, 3}, 3) and the LP value under that constraint is no upper bound
+    k = core.validate_sequence([3, 3, 3, 3])
+    instance = lp.LPInstance(k, (lp.Constraint(frozenset({2, 3}), 3),))
+    with pytest.raises(lp.InvalidConstraint, match=r"T=\[2, 3\], k'=3"):
+        lp.sandwich_certificate(k, constructions.known_optimum(k), instance)
+
+
 def test_table_one_values():
     expected = {
         (3, 3): LogLinear(Fraction(1, 2)),
