@@ -12,13 +12,15 @@ Each checkout runs the same ``er-lab`` commands in-process, from its own
   ``tables``, and ``extension --k 4,4,4,4 --opt`` on AG(2,3) minus a line
 - ``certify --constraint``: (3,3,3,3) with its valid ({3,4}, 3) and (5,3)
   with ({2}, 7), which leaves a GAP; and ``lp --k 3,3,3,3``
+- ``symmetrise --input`` on the level-0 patterns of ``SYMMETRISE_INPUTS``:
+  exact weights, float weights, a zero-weight vertex and a clone pair
 - the ``oracle count`` and ``oracle extremal`` operations of the
   oracle-bruteforce workload (seed 11)
 
 The command list, AG(2,3) minus a line and the oracle input graphs come
 from CHANGE's ``bench/workloads.py``, read without writing anything under
-``bench/``; the input files go to a temporary directory that both sides
-read.  Reports are compared as JSON with their top-level ``timing`` dropped
+``bench/``; the input files, the symmetrise patterns included, go to a
+temporary directory that both sides read.  Reports are compared as JSON with their top-level ``timing`` dropped
 (``nodes``, ``attachments`` and every other field kept); ``tables`` must be
 byte-identical.  Prints one line per command and exits 1 when any report
 differs.
@@ -39,6 +41,19 @@ LP_COMMANDS = [
     ["certify", "--k", "5,3", "--constraint", "T=2:cap=7"],
     ["lp", "--k", "3,3,3,3"],
 ]
+# pattern files in the format of `er-lab verify` (vertices 1-based)
+SYMMETRISE_INPUTS = {
+    "exact": {"k": [3, 3, 3], "r": 4, "alpha": ["1/3", "1/6", "1/4", "1/4"],
+              "pairs": [[1, 2, [1, 2]], [1, 3, [3]], [1, 4, [1]], [2, 3, [2, 3]], [2, 4, []],
+                        [3, 4, [1, 2]]]},
+    "float": {"k": [3, 3], "r": 4, "alpha": [0.375, 0.125, 0.25, 0.25],
+              "pairs": [[1, 2, [1, 2]], [1, 3, [1]], [1, 4, [2]], [2, 3, [2]], [2, 4, [1]],
+                        [3, 4, [1, 2]]]},
+    "zero_weight": {"k": [3, 3], "r": 3, "alpha": ["1/2", "1/2", "0"],
+                    "pairs": [[1, 2, [1, 2]], [1, 3, [1]], [2, 3, [2]]]},
+    "clone": {"k": [4, 3], "r": 3, "alpha": ["1/4", "1/2", "1/4"],
+              "pairs": [[1, 2, [1, 2]], [1, 3, [1]], [2, 3, [1, 2]]]},
+}
 
 # run in each checkout: every argv of the list on stdin through erlab.cli.run,
 # its exit code and standard output written as one JSON list
@@ -70,6 +85,11 @@ def commands(change: str, workdir: str) -> list:
         json.dump(workloads.AG23_MINUS_LINE, fh)
     argvs.append(["extension", "--k", "4,4,4,4", "--opt", ag_path])
     argvs += LP_COMMANDS
+    for name, pattern in SYMMETRISE_INPUTS.items():
+        path = os.path.join(workdir, f"symmetrise_{name}.json")
+        with open(path, "w") as fh:
+            json.dump(pattern, fh)
+        argvs.append(["symmetrise", "--input", path])
     oracle = workloads.Workload("oracle-bruteforce", SEED, workdir, reference={})
     return argvs + [op.argv for op in oracle.ops]
 

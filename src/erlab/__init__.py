@@ -8,7 +8,6 @@ from .core import (
     QBreakdown,
     clone_status,
     is_feasible,
-    merge_clones,
     q_value,
     triple_from_json,
     triple_to_json,
@@ -26,7 +25,6 @@ __all__ = [
     "QBreakdown",
     "clone_status",
     "is_feasible",
-    "merge_clones",
     "q_value",
     "triple_from_json",
     "triple_to_json",

@@ -139,8 +139,7 @@ def _cmd_verify(args) -> tuple:
     triple, k = _load_triple(args.pattern)
     if args.k:
         k = _parse_k(args.k)
-    claimed = core.q_value(triple)
-    verdict = search.verify_candidate(triple, k, claimed)
+    verdict = search.verify_candidate(triple, k)
     results = {
         "checks": verdict["checks"],
         "passed": verdict["passed"],

@@ -145,19 +145,6 @@ class ColourPattern:
         assignment.update(((i, self.r), cs) for i, cs in enumerate(row))
         return ColourPattern(self.r + 1, assignment)
 
-    def relabel(self, perm) -> "ColourPattern":
-        """Apply a vertex permutation (perm[i] = new index of i)."""
-        return ColourPattern(
-            self.r, {(perm[i], perm[j]): cs for (i, j), cs in self.assignment.items()}
-        )
-
-    def relabel_colours(self, cperm) -> "ColourPattern":
-        """Apply a colour permutation given as {old: new}."""
-        return ColourPattern(
-            self.r,
-            {p: frozenset(cperm[c] for c in cs) for p, cs in self.assignment.items()},
-        )
-
 
 def make_weighting(values) -> tuple:
     """Normalise to a tuple; rational entries stay exact."""
@@ -400,53 +387,6 @@ def clone_status(pattern: ColourPattern, i: int, j: int) -> CloneStatus:
     if len(between) == 1:
         return CloneStatus.CLONE
     return CloneStatus.NOT_CLONE
-
-
-@dataclass(frozen=True)
-class MergeResult:
-    triple: FeasibleTriple
-    dropped_d1: object  # density mass lost from within-pair multiplicity-1 terms
-    q_preserved: bool
-
-
-def merge_clones(triple: FeasibleTriple) -> MergeResult:
-    """Collapse clone pairs (smallest pair first, keep the smaller index).
-
-    Merging a Clone with one colour between drops that pair's d_1 mass; the
-    q value itself is unaffected since log2(1) = 0.
-    """
-    pattern = triple.pattern
-    alpha = list(triple.weighting)
-    exact = weighting_is_exact(triple.weighting)
-    dropped = Fraction(0) if exact else 0.0
-
-    while True:
-        found = None
-        for i in range(pattern.r):
-            for j in range(i + 1, pattern.r):
-                if clone_status(pattern, i, j) is not CloneStatus.NOT_CLONE:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if found is None:
-            break
-        i, j = found
-        if len(pattern.get(i, j)) == 1:
-            dropped += 2 * alpha[i] * alpha[j]
-        alpha[i] = alpha[i] + alpha[j]
-        keep = [v for v in range(pattern.r) if v != j]
-        pattern = pattern.induced(keep)
-        alpha = [alpha[v] for v in keep]
-
-    positive = [v for v in range(pattern.r) if alpha[v] > 0]
-    if len(positive) < pattern.r and positive:
-        pattern = pattern.induced(positive)
-        alpha = [alpha[v] for v in positive]
-
-    zero = Fraction(0) if exact else 0.0
-    merged = FeasibleTriple(pattern, tuple(alpha), triple.level)
-    return MergeResult(merged, dropped, dropped == zero)
 
 
 _RAMSEY_TABLE = {

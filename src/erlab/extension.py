@@ -36,12 +36,12 @@ def enumerate_optimal_attachments(triple: core.FeasibleTriple, k: core.ColourSeq
     prunes only by the remaining-contribution bound and by incremental
     clique containment, so no attachment is lost.
     """
-    q = core.q_value(triple)
-    check = search.verify_candidate(triple, k, q)
+    check = search.verify_candidate(triple, k)
     if not check["passed"]:
         raise NotBasicOptimal(f"candidate fails basic-optimality checks: {check['checks']}")
+    q = check["value"].numeric_value
     return core.attachment_rows(
-        triple.pattern, k, core.colour_subsets(k.s, 0), alpha=triple.weighting, target=q.numeric_value
+        triple.pattern, k, core.colour_subsets(k.s, 0), alpha=triple.weighting, target=q
     )
 
 

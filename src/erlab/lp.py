@@ -189,12 +189,10 @@ def recommended_constraints(k: core.ColourSeq) -> tuple:
 
 @dataclass
 class Certificate:
-    k: core.ColourSeq
     lower: LogLinear  # q of the explicit construction
     upper: LogLinear  # LP optimum
     verdict: str  # "EXACT" | "GAP"
     gap: float
-    construction: core.FeasibleTriple
     lp: LPSolution
     instance: LPInstance
 
@@ -233,12 +231,10 @@ def sandwich_certificate(
     sol = solve_L(instance)
     exact = lower == sol.value
     return Certificate(
-        k=k,
         lower=lower,
         upper=sol.value,
         verdict="EXACT" if exact else "GAP",
         gap=0.0 if exact else float(sol.value) - float(lower),
-        construction=construction,
         lp=sol,
         instance=instance,
     )

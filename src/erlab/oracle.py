@@ -126,8 +126,6 @@ def graph_classes(n: int) -> list:
 
 @dataclass
 class ExtremalResult:
-    n: int
-    k: core.ColourSeq
     maximum: int
     maximisers: list  # SimpleGraph representatives, one per iso class
     all_complete_multipartite: bool
@@ -150,8 +148,6 @@ def extremal_search(n: int, k: core.ColourSeq) -> ExtremalResult:
         elif f == best:
             maximisers.append(g)
     return ExtremalResult(
-        n=n,
-        k=k,
         maximum=best,
         maximisers=maximisers,
         all_complete_multipartite=all(is_complete_multipartite(g) for g in maximisers),

@@ -6,7 +6,8 @@ weight onto the other changes q by  beta * (att_keep - att_drop), where att_v
 is the weighted attachment of v to the rest (the shared pair contributes
 nothing since log2 of 0 or 1 colours is 0).  Keeping the vertex with the
 larger attachment therefore never loses.  Each move removes a vertex, so the
-process terminates; clones are merged at the end.
+process terminates.  Clones need no separate pass: a clone pair carries at
+most one colour, so the loop merges it like any other such pair.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ class InfeasibleInput(core.ErlabError):
 @dataclass(frozen=True)
 class Step:
     pair: tuple  # (kept, dropped) in the labels of the current pattern
-    attachments: tuple  # (att_kept, att_dropped) as floats
-    weighting: tuple  # after the move
     q: float  # after the move
 
 
@@ -32,7 +31,6 @@ class Step:
 class Trajectory:
     steps: list
     final: core.FeasibleTriple
-    dropped_d1: object
     q_initial: float
     q_final: float
 
@@ -80,23 +78,12 @@ def forward_symmetrise(triple: core.FeasibleTriple, k: core.ColourSeq) -> Trajec
         q_now = core.q_value(
             core.FeasibleTriple(pattern, tuple(alpha), level=0)
         ).numeric_value
-        steps.append(
-            Step(
-                pair=(keep, drop),
-                attachments=(float(att_i if keep == i else att_j),
-                             float(att_j if keep == i else att_i)),
-                weighting=tuple(alpha),
-                q=q_now,
-            )
-        )
+        steps.append(Step(pair=(keep, drop), q=q_now))
 
-    level2 = core.FeasibleTriple(pattern, tuple(alpha), level=2)
-    merged = core.merge_clones(level2)
-    final = merged.triple
+    final = core.FeasibleTriple(pattern, tuple(alpha), level=2)
     return Trajectory(
         steps=steps,
         final=final,
-        dropped_d1=merged.dropped_d1,
         q_initial=q0,
         q_final=core.q_value(final).numeric_value,
     )

@@ -45,7 +45,6 @@ class WeightOptimum:
     weighting: tuple
     value: core.QBreakdown
     support: frozenset
-    stationarity_residual: float
 
 
 def _log_matrix(pattern: core.ColourPattern) -> np.ndarray:
@@ -162,7 +161,7 @@ def _optimum(r: int, mults: tuple) -> WeightOptimum:
     if r == 1:
         w = (Fraction(1),)
         triple = core.FeasibleTriple(pattern, w, level=1)
-        return WeightOptimum(w, core.q_value(triple), frozenset({0}), 0.0)
+        return WeightOptimum(w, core.q_value(triple), frozenset({0}))
 
     import numpy as np
 
@@ -188,13 +187,7 @@ def _optimum(r: int, mults: tuple) -> WeightOptimum:
     exact = _rationalise(best, a)
     weighting = exact if exact is not None else tuple(float(v) for v in best)
     triple = core.FeasibleTriple(pattern, weighting, level=1)
-    value = core.q_value(triple)
-    q = value.numeric_value
-    resid = max(
-        (abs(core.q_contrib(pattern, weighting, i) - q) for i in support),
-        default=0.0,
-    )
-    return WeightOptimum(weighting, value, support, resid)
+    return WeightOptimum(weighting, core.q_value(triple), support)
 
 
 def verify_stationarity(triple: core.FeasibleTriple, tolerance: float):

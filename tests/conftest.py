@@ -12,6 +12,21 @@ from erlab.capacity import blowup
 from erlab.graphs import SimpleGraph, max_clique
 
 
+def relabel(pattern, perm):
+    """Apply a vertex permutation (perm[i] = new index of i)."""
+    return core.ColourPattern(
+        pattern.r, {(perm[i], perm[j]): cs for (i, j), cs in pattern.assignment.items()}
+    )
+
+
+def relabel_colours(pattern, cperm):
+    """Apply a colour permutation given as {old: new}."""
+    return core.ColourPattern(
+        pattern.r,
+        {p: frozenset(cperm[c] for c in cs) for p, cs in pattern.assignment.items()},
+    )
+
+
 def random_colour_sets(rng, s, allow_empty=True):
     pool = list(range(1, s + 1))
     size_lo = 0 if allow_empty else 1

@@ -56,6 +56,18 @@ def test_verify_failure_exits_2(tmp_path, capsys):
     assert not json.loads(out)["results"]["passed"]
 
 
+def test_verify_report_lists_three_checks(tmp_path, capsys):
+    k = core.validate_sequence([3, 3])
+    p = core.ColourPattern(2, {(0, 1): {1, 2}})
+    for alpha, passed in [((Fraction(1, 2),) * 2, True), ((Fraction(1, 4), Fraction(3, 4)), False)]:
+        path = tmp_path / "pattern.json"
+        path.write_text(json.dumps(core.triple_to_json(core.FeasibleTriple(p, alpha, level=2), k)))
+        code, out = run_cli(capsys, ["verify", "--pattern", str(path)])
+        results = json.loads(out)["results"]
+        assert sorted(results["checks"]) == ["all_weights_positive", "feasible_level2", "stationary"]
+        assert results["passed"] is passed and code == (0 if passed else 2)
+
+
 def test_extension_report(capsys):
     code, out = run_cli(capsys, ["extension", "--k", "5,3"])
     assert code == 0

@@ -129,26 +129,6 @@ def test_induced_keeps_order_and_drops_touching_pairs():
     assert p.induced([]).r == 0
 
 
-def test_merge_clones_preserves_q():
-    p = core.ColourPattern(3, {(0, 1): set(), (0, 2): {1, 2}, (1, 2): {1, 2}})
-    t = core.FeasibleTriple(p, (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
-    res = core.merge_clones(t)
-    assert res.triple.r == 2
-    assert res.triple.weighting == (Fraction(1, 2), Fraction(1, 2))
-    assert res.q_preserved
-    assert core.q_value(res.triple) == core.q_value(t)
-
-
-def test_merge_clones_reports_dropped_mass():
-    p = core.ColourPattern(3, {(0, 1): {1}, (0, 2): {1, 2}, (1, 2): {1, 2}})
-    t = core.FeasibleTriple(p, (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
-    res = core.merge_clones(t)
-    assert res.dropped_d1 == Fraction(1, 8)
-    assert not res.q_preserved
-    # q itself is unchanged: the dropped pairs carried log2(1) = 0
-    assert core.q_value(res.triple).numeric_value == core.q_value(t).numeric_value
-
-
 # -- feasibility --------------------------------------------------------------
 
 

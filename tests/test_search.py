@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import ext_value, random_colour_sets, random_pattern
+from conftest import ext_value, random_colour_sets, random_pattern, relabel, relabel_colours
 
 from erlab import constructions, core, search
 from erlab.graphs import has_clique
@@ -77,7 +77,7 @@ def test_canonical_code_relabel_invariance():
         vperm = list(range(r))
         rng.shuffle(vperm)
         cperm = dict(zip([1, 2, 3], rng.sample([1, 2, 3], 3)))
-        relabelled = pattern.relabel(vperm).relabel_colours(cperm)
+        relabelled = relabel_colours(relabel(pattern, vperm), cperm)
         assert search.canonical_code(relabelled, k) == code
 
 
@@ -152,10 +152,10 @@ def test_verify_candidate_detects_wrong_claims():
     k = core.validate_sequence([3, 3])
     p = core.ColourPattern(2, {(0, 1): {1, 2}})
     t = core.FeasibleTriple(p, (Fraction(1, 2), Fraction(1, 2)), level=2)
-    good = search.verify_candidate(t, k, core.q_value(t))
+    good = search.verify_candidate(t, k)
     assert good["passed"]
     skew = core.FeasibleTriple(p, (Fraction(1, 4), Fraction(3, 4)), level=2)
-    bad = search.verify_candidate(skew, k, core.q_value(skew))
+    bad = search.verify_candidate(skew, k)
     assert not bad["passed"] and not bad["checks"]["stationary"]
 
 

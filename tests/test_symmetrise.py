@@ -38,6 +38,24 @@ def test_zero_weight_vertices_dropped_first():
     assert traj.final.r == 2
 
 
+def test_symmetrise_merges_clone_pairs():
+    # vertex 2 clones vertex 0 of the (4,3) optimum; the clone pair is the
+    # only pair with at most one colour, so the loop's one move merges it
+    k = core.validate_sequence([4, 3])
+    for between, status in [({1}, core.CloneStatus.CLONE), (set(), core.CloneStatus.STRONG_CLONE)]:
+        p = core.ColourPattern(3, {(0, 1): {1, 2}, (0, 2): between, (1, 2): {1, 2}})
+        assert core.clone_status(p, 0, 2) is status
+        t = core.FeasibleTriple(p, (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
+        traj = symmetrise.forward_symmetrise(t, k)
+        final = traj.final
+        assert final.r == t.r - 1
+        assert core.q_value(final).log_form == core.q_value(t).log_form
+        assert all(
+            core.clone_status(final.pattern, i, j) is core.CloneStatus.NOT_CLONE
+            for i, j in final.pattern.pairs()
+        )
+
+
 def test_rejects_infeasible_input():
     k = core.validate_sequence([3, 3])
     p = core.ColourPattern(3, {(0, 1): {1}, (0, 2): {1}, (1, 2): {1}})
