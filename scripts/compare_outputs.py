@@ -15,11 +15,12 @@ Each checkout runs the same ``er-lab`` commands in-process, from its own
 - ``symmetrise --input`` on the level-0 patterns of ``SYMMETRISE_INPUTS``:
   exact weights, float weights, a zero-weight vertex and a clone pair
 - the ``oracle count`` and ``oracle extremal`` operations of the
-  oracle-bruteforce workload (seed 11)
+  oracle-bruteforce workload (seed 11), ``oracle extremal --n 7 --k 3,3``
+  and ``oracle count`` on K_7 with k = (4,3) and (4,4)
 
 The command list, AG(2,3) minus a line and the oracle input graphs come
 from CHANGE's ``bench/workloads.py``, read without writing anything under
-``bench/``; the input files, the symmetrise patterns included, go to a
+``bench/``; the input files, the symmetrise patterns and K_7 included, go to a
 temporary directory that both sides read.  Reports are compared as JSON with their top-level ``timing`` dropped
 (``nodes``, ``attachments`` and every other field kept); ``tables`` must be
 byte-identical.  Prints one line per command and exits 1 when any report
@@ -41,6 +42,9 @@ LP_COMMANDS = [
     ["certify", "--k", "5,3", "--constraint", "T=2:cap=7"],
     ["lp", "--k", "3,3,3,3"],
 ]
+# counts beyond the workload's six oracle operations
+ORACLE_EXTREMAL = [["oracle", "extremal", "--n", "7", "--k", "3,3"]]
+K7_COUNTS = ["4,3", "4,4"]
 # pattern files in the format of `er-lab verify` (vertices 1-based)
 SYMMETRISE_INPUTS = {
     "exact": {"k": [3, 3, 3], "r": 4, "alpha": ["1/3", "1/6", "1/4", "1/4"],
@@ -91,7 +95,11 @@ def commands(change: str, workdir: str) -> list:
             json.dump(pattern, fh)
         argvs.append(["symmetrise", "--input", path])
     oracle = workloads.Workload("oracle-bruteforce", SEED, workdir, reference={})
-    return argvs + [op.argv for op in oracle.ops]
+    argvs += [op.argv for op in oracle.ops] + ORACLE_EXTREMAL
+    k7_path = os.path.join(workdir, "k7.json")
+    with open(k7_path, "w") as fh:
+        json.dump({"n": 7, "edges": [[u, v] for v in range(2, 8) for u in range(1, v)]}, fh)
+    return argvs + [["oracle", "count", "--graph", k7_path, "--k", k] for k in K7_COUNTS]
 
 
 def run(checkout: str, argvs: list) -> list:

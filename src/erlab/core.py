@@ -155,6 +155,8 @@ def make_weighting(values) -> tuple:
             raise ErlabError(f"weighting {vals} not a point of the simplex")
     else:
         vals = tuple(float(v) for v in vals)
+        if not all(math.isfinite(v) for v in vals):
+            raise ErlabError(f"numeric weighting {vals} has a non-finite entry")
         if any(v < -1e-12 for v in vals) or abs(sum(vals) - 1) > 1e-12:
             raise ErlabError("numeric weighting not on the simplex within 1e-12")
     return vals

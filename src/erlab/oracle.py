@@ -4,7 +4,10 @@ These routines are exponential; they exist to check the structural machinery
 on small instances.  Two symmetries keep them exact and cheaper: colours with
 equal clique orders are interchangeable, so the count walks one colouring per
 orbit and weighs it by the orbit's size; and the graph sweep adds one edge per
-pair of twin classes, since the other choices give isomorphic graphs.
+pair of twin classes, since the other choices give isomorphic graphs.  The
+count colours edges in colex order, so each clique is tested as soon as all
+its vertices are present, and tallies the colours of the last edge in place
+of one leaf per colouring.
 """
 
 from __future__ import annotations
@@ -30,13 +33,22 @@ def count_valid_colourings(g: SimpleGraph, k: core.ColourSeq) -> int:
     one before it is first used, so each orbit under permuting a run is
     walked once, in restricted-growth order.  The first use of the i-th
     colour (0-based) of a run of m weighs its subtree by m - i.
+
+    Edges are visited in colex order (larger endpoint, then smaller): all
+    edges among smaller vertices are coloured before those of a new vertex,
+    so a branch that closes a forbidden clique is cut at the clique's last
+    edge.  The last edge adds up the weights of the colours that fit rather
+    than descending once per colouring; the empty graph counts 1.
     """
     s = k.s
     e = len(g.edges)
     if (s == 2 and e > 24) or (s > 2 and s**e > 10**8):
         raise TooLarge(f"{s}^{e} colourings is beyond the brute-force guard")
-    edges = sorted(g.edges)
-    last = len(edges)
+    edges = sorted(g.edges, key=lambda uv: (uv[1], uv[0]))  # colex
+    if not edges:
+        return 1
+    *inner, (lu, lv) = edges
+    last = len(inner)
     # per colour: its adjacency masks, the clique order a new edge's common
     # neighbourhood must not contain (k_c - 2) and what its first use opens:
     # None, or (weight m - i, the next colour of its run); the last colour
@@ -52,9 +64,14 @@ def count_valid_colourings(g: SimpleGraph, k: core.ColourSeq) -> int:
     def dfs(idx: int, open_colours: list, weight: int):
         nonlocal count
         if idx == last:
-            count += weight
+            # the last edge closes no branch below it: tally the colours
+            # that fit, each weighed by what its first use would open
+            for adj, need, opens in open_colours:
+                common = adj[lu] & adj[lv]
+                if not common or (need != 1 and has_clique(adj, need, common) is None):
+                    count += weight if opens is None else weight * opens[0]
             return
-        u, v = edges[idx]
+        u, v = inner[idx]
         bu, bv = 1 << u, 1 << v
         for colour in open_colours:
             adj, need, opens = colour

@@ -50,6 +50,17 @@ def test_weighting_validation():
     assert core.weighting_is_exact(exact)
 
 
+def test_weighting_rejects_non_finite_entries():
+    # NaN compares false both ways, so the simplex tests alone let it pass
+    for bad in ([float("nan"), 1.0], [float("inf"), 1.0], [float("-inf"), 1.0],
+                [float("inf"), float("-inf"), 1.0], [0.5, 0.5, float("nan")]):
+        with pytest.raises(core.ErlabError, match="non-finite"):
+            core.make_weighting(bad)
+    p = core.ColourPattern(2, {(0, 1): {1, 2}})
+    with pytest.raises(core.ErlabError, match="non-finite"):
+        core.FeasibleTriple(p, (float("nan"), 1.0))
+
+
 # -- q ----------------------------------------------------------------------
 
 

@@ -61,6 +61,35 @@ def test_count_k4_two_colours():
     assert oracle.count_valid_colourings(g, k33()) == brute_force_count(g, k33()) == 18
 
 
+def test_count_complete_graphs_beyond_the_naive_brute_force():
+    # frozen from the lexicographic-order DFS that preceded the colex walk;
+    # brute_force_count cannot reach these in test time
+    frozen = [
+        (5, (3, 3), 12), (6, (3, 3), 0), (6, (4, 3), 2812), (7, (4, 3), 13842),
+        (7, (4, 4), 923012), (5, (3, 3, 3), 17136), (5, (4, 4, 4), 57906),
+    ]
+    for n, entries, value in frozen:
+        k = core.validate_sequence(entries)
+        assert oracle.count_valid_colourings(complete_graph(n), k) == value, (n, entries)
+
+
+def test_count_invariant_under_vertex_relabelling():
+    # the walk's edge order depends on the labels; the count must not
+    rng = random.Random(17)
+    for entries, max_edges in [((4, 3), 21), ((4, 4), 18), ((3, 3, 3), 13)]:
+        k = core.validate_sequence(entries)
+        for _ in range(4):
+            n = rng.choice([6, 7])
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            edges = rng.sample(pairs, rng.randint(n, min(max_edges, len(pairs))))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relabelled = {tuple(sorted((perm[u], perm[v]))) for u, v in edges}
+            count = oracle.count_valid_colourings(SimpleGraph(n, frozenset(edges)), k)
+            assert count == oracle.count_valid_colourings(SimpleGraph(n, frozenset(relabelled)), k), (
+                entries, edges, perm)
+
+
 def test_count_guards():
     with pytest.raises(oracle.TooLarge):
         oracle.count_valid_colourings(complete_graph(8), k33())
