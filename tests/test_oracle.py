@@ -62,8 +62,8 @@ def test_count_k4_two_colours():
 
 
 def test_count_complete_graphs_beyond_the_naive_brute_force():
-    # frozen from the lexicographic-order DFS that preceded the colex walk;
-    # brute_force_count cannot reach these in test time
+    # frozen from a count in lexicographic edge order, which the colex walk
+    # does not share; brute_force_count cannot reach these in test time
     frozen = [
         (5, (3, 3), 12), (6, (3, 3), 0), (6, (4, 3), 2812), (7, (4, 3), 13842),
         (7, (4, 4), 923012), (5, (3, 3, 3), 17136), (5, (4, 4, 4), 57906),
