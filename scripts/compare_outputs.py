@@ -5,8 +5,8 @@
 Each checkout runs the same ``er-lab`` commands in-process, from its own
 ``src``, in a fresh interpreter:
 
-- ``q2`` on the twelve q2-sweep cases and on (3,3,3,3)/6, (4,4,4)/6 and
-  (5,5,5)/5
+- ``q2`` on the twelve q2-sweep cases and on (3,3,3,3)/6, (4,4,4)/6,
+  (5,5,5)/5 and (4,3,3,3)/5, the sweep's largest case one level deeper
 - ``tables`` in JSON and in tsv
 - ``certify --k`` and ``extension --k`` for the 15 solved families of
   ``tables``, and ``extension --k 4,4,4,4 --opt`` on AG(2,3) minus a line
@@ -35,7 +35,7 @@ import subprocess
 import sys
 import tempfile
 
-EXTRA_Q2 = [("3,3,3,3", 6), ("4,4,4", 6), ("5,5,5", 5)]
+EXTRA_Q2 = [("3,3,3,3", 6), ("4,4,4", 6), ("5,5,5", 5), ("4,3,3,3", 5)]
 SEED = 11
 LP_COMMANDS = [
     ["certify", "--k", "3,3,3,3", "--constraint", "T=3,4:cap=3"],

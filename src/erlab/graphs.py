@@ -167,6 +167,25 @@ def twin_classes(matrix) -> list:
     return cls
 
 
+def _split(mv, cells) -> tuple:
+    """The cells, each split by its entries in row mv into parts in
+    ascending order of entry (a cell keeps its order within a part, and
+    empty cells are dropped)."""
+    split = []
+    for cell in cells:
+        if len(cell) == 1:
+            split.append(cell)
+        elif cell:
+            groups: dict = {}
+            for x in cell:
+                groups.setdefault(mv[x], []).append(x)
+            if len(groups) == 1:
+                split.append(cell)
+            else:
+                split += [tuple(groups[value]) for value in sorted(groups)]
+    return tuple(split)
+
+
 def canonical_matrix_code(r: int, matrices) -> bytes:
     """The least code bytes(m[o[a]][o[b]] for a < b, row-major) over the
     symmetric r x r matrices m and all vertex orders o (McKay's exact
@@ -175,50 +194,51 @@ def canonical_matrix_code(r: int, matrices) -> bytes:
     Position i takes a vertex from the cell holding it; every later cell is
     then split by its entry against that vertex, ascending, as minimality
     forces, so row i is known once position i is filled.  The search runs
-    level by level: every node of the frontier is expanded and only the
-    children whose row is the least of the level are kept.  A child's row is
-    its entries sorted within each cell, read before any split, so only the
-    children that tie the least row so far get their cells split (a cell of
-    one vertex or one entry value is kept whole).  A node is a matrix and its
-    cells, which alone fix the subtree below it, so equal nodes reached by
-    different prefixes are kept once; this keeps matrices with many
-    automorphisms from costing r! orders.
+    level by level, in two passes: every child of the frontier gets its row,
+    its entries sorted within each cell, read before any split; then only
+    the children whose row is the least of the level have their cells split
+    (`_split`) and are kept.  At position 0 the one cell holds every vertex,
+    so a vertex's row is its whole row sorted, less its own diagonal entry.
+    A node is a matrix and its cells, which alone fix the subtree below it,
+    so equal nodes reached by different prefixes are kept once; this keeps
+    matrices with many automorphisms from costing r! orders.
     """
     matrices = list(matrices)
-    frontier = {(index, (tuple(range(r)),)) for index in range(len(matrices))}
-    code = b""
-    for _ in range(r - 1):
-        low, kept = None, set()
-        for index, (first, *rest) in frontier:
-            m = matrices[index]
-            for v in first:
-                mv = m[v]
-                row = sorted([mv[x] for x in first if x != v])
-                for cell in rest:
-                    if len(cell) == 1:
-                        row.append(mv[cell[0]])
-                    else:
-                        row += sorted([mv[x] for x in cell])
-                row = bytes(row)
-                if low is None or row < low:
-                    low, kept = row, set()
-                elif row != low:
-                    continue
-                split = []
-                for cell in (tuple([x for x in first if x != v]), *rest):
-                    if len(cell) > 1:
-                        groups: dict = {}
-                        for x in cell:
-                            groups.setdefault(mv[x], []).append(x)
-                        if len(groups) > 1:
-                            split += [tuple(groups[value]) for value in sorted(groups)]
-                            continue
-                    if cell:  # one vertex, or one entry value: the cell stays whole
-                        split.append(cell)
-                kept.add((index, tuple(split)))
-        code += low
-        frontier = kept
-    return code
+    everyone = tuple(range(r))
+    code = []
+    for position in range(r - 1):
+        rows, children = [], []
+        if position == 0:
+            for index, m in enumerate(matrices):
+                for v in everyone:
+                    mv = m[v]
+                    row = sorted(mv)
+                    row.remove(mv[v])
+                    rows.append(bytes(row))
+                    children.append((index, v, everyone, ()))
+        else:
+            for index, (first, *rest) in frontier:
+                m = matrices[index]
+                for v in first:
+                    mv = m[v]
+                    row = sorted([mv[x] for x in first if x != v])
+                    for cell in rest:
+                        if len(cell) == 1:
+                            row.append(mv[cell[0]])
+                        else:
+                            row += sorted([mv[x] for x in cell])
+                    rows.append(bytes(row))
+                    children.append((index, v, first, rest))
+        low = min(rows)
+        code.append(low)
+        if position == r - 2:
+            break
+        frontier = {
+            (index, _split(matrices[index][v], (tuple([x for x in first if x != v]), *rest)))
+            for row, (index, v, first, rest) in zip(rows, children)
+            if row == low
+        }
+    return b"".join(code)
 
 
 def graph_to_json(g: SimpleGraph) -> dict:

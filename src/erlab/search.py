@@ -42,14 +42,17 @@ class SearchResult:
 def _mask_images(k: core.ColourSeq) -> list:
     """One translation table per colour permutation preserving the
     clique-order sequence: byte x is the image of colour mask x (masks have
-    s <= 8 bits, as the codes are bytes)."""
+    s <= 8 bits, as the codes are bytes).  A mask's image is that of the
+    mask without its lowest bit, plus the image of that bit."""
     colours = list(k.colours())
     tables = []
     for image in itertools.permutations(colours):
         if all(k[c] == k[d] for c, d in zip(colours, image)):
+            bits = [1 << (d - 1) for d in image]
             table = bytearray(256)
-            for mask in range(1 << k.s):
-                table[mask] = sum(1 << (d - 1) for c, d in zip(colours, image) if mask >> (c - 1) & 1)
+            for mask in range(1, 1 << k.s):
+                low = mask & -mask
+                table[mask] = table[mask ^ low] | bits[low.bit_length() - 1]
             tables.append(bytes(table))
     return tables
 
@@ -64,12 +67,16 @@ def _mask_rows(pattern: core.ColourPattern) -> list[bytes]:
     return [bytes(row) for row in m]
 
 
+def _rows_code(rows: list[bytes], k: core.ColourSeq) -> bytes:
+    """`canonical_code` of the pattern with colour-mask matrix `rows`."""
+    matrices = {tuple([row.translate(table) for row in rows]) for table in _mask_images(k)}
+    return canonical_matrix_code(len(rows), matrices)
+
+
 def canonical_code(pattern: core.ColourPattern, k: core.ColourSeq) -> bytes:
     """Least code of the colour-mask matrix over vertex orders and colour
     relabellings within blocks of equal clique order."""
-    rows = _mask_rows(pattern)
-    matrices = {tuple(row.translate(table) for row in rows) for table in _mask_images(k)}
-    return canonical_matrix_code(pattern.r, matrices)
+    return _rows_code(_mask_rows(pattern), k)
 
 
 def pattern_symmetries(m: list[bytes], k: core.ColourSeq) -> tuple[list, list]:
@@ -149,10 +156,11 @@ def _subset_images(k: core.ColourSeq) -> tuple[dict, dict]:
     return index, images
 
 
-def orbit_least_rows(base: core.ColourPattern, k: core.ColourSeq, rows: list) -> list:
-    """The attachment rows of `base` (colour sets from
-    `core.colour_subsets(k.s, 2)`, in `core.attachment_rows` order) that are
-    the least of their orbit under the symmetries of `base`.
+def orbit_least_rows(m: list[bytes], k: core.ColourSeq, rows: list) -> list:
+    """The attachment rows of a base with colour-mask matrix m (`_mask_rows`;
+    colour sets from `core.colour_subsets(k.s, 2)`, in
+    `core.attachment_rows` order) that are the least of their orbit under
+    the symmetries of the base.
 
     Read a row R as its subset indices.  A symmetry (perm, colour map)
     takes R to R' with R'[perm[v]] = the index of the image of R[v], and
@@ -162,7 +170,7 @@ def orbit_least_rows(base: core.ColourPattern, k: core.ColourSeq, rows: list) ->
     `pattern_symmetries` has an image that, sorted within twin classes, is
     lexicographically less than R.
     """
-    classes, autos = pattern_symmetries(_mask_rows(base), k)
+    classes, autos = pattern_symmetries(m, k)
     index, images = _subset_images(k)
     groups = [g for g in classes if len(g) > 1]
     twins = [pair for g in groups for pair in zip(g, g[1:])]
@@ -211,9 +219,14 @@ def pattern_levels(k: core.ColourSeq, budget: _Budget | None = None):
     isomorphism class of the level-2 patterns on r vertices, sorted by code.
 
     Level r + 1 extends the level-r representatives in the order they were
-    found.  Nothing follows a level that the budget cut short.
+    found.  A child's colour-mask matrix is its base's with the row's masks
+    joined on, and only a child whose code is new to the level is built as
+    a pattern.  Nothing follows a level that the budget cut short.
     """
+    if k.s > 8:
+        raise core.ErlabError(f"{k.s} colours: the search takes at most 8 (masks are bytes)")
     subsets = core.colour_subsets(k.s, 2)
+    masks = {cs: sum(1 << (c - 1) for c in cs) for cs in subsets}
     level: dict[bytes, core.ColourPattern] = {}
     for cs in subsets:
         p = core.ColourPattern(2, {(0, 1): cs})
@@ -227,9 +240,12 @@ def pattern_levels(k: core.ColourSeq, budget: _Budget | None = None):
             return
         nxt: dict[bytes, core.ColourPattern] = {}
         for base in level.values():
-            for row in orbit_least_rows(base, k, core.attachment_rows(base, k, subsets, budget)):
-                p = base.attach(row)
-                nxt.setdefault(canonical_code(p, k), p)
+            m = _mask_rows(base)
+            for row in orbit_least_rows(m, k, core.attachment_rows(base, k, subsets, budget)):
+                new = bytes([masks[cs] for cs in row])
+                code = _rows_code([mv + new[i:i + 1] for i, mv in enumerate(m)] + [new + b"\0"], k)
+                if code not in nxt:
+                    nxt[code] = base.attach(row)
         level = nxt
         completed = budget is None or not budget.refused
 

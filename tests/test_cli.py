@@ -254,6 +254,16 @@ def test_q2_rmax_below_two_is_an_error(capsys):
         assert report["command"] == "error" and report["results"]["error"] == "ErlabError"
 
 
+def test_q2_more_than_eight_colours_is_an_error(capsys):
+    # colour masks are bytes, so the search takes at most 8 colours
+    for entries in ("3,3,3,3,3,3,3,3,3", "4,3,3,3,3,3,3,3,3,3"):
+        code, out = run_cli(capsys, ["q2", "--k", entries, "--rmax", "2"])
+        assert code == 1
+        report = json.loads(out)
+        assert report["command"] == "error" and report["results"]["error"] == "ErlabError"
+        assert "at most 8" in report["results"]["message"]
+
+
 def test_non_integer_clique_order_is_an_error(tmp_path, capsys):
     k = core.validate_sequence([3, 3])
     pattern = core.triple_to_json(constructions.known_optimum(k), k)

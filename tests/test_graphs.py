@@ -107,6 +107,26 @@ def test_canonical_matrix_code_is_the_least_code_over_all_orders():
         assert canonical_matrix_code(r, matrices) == least
 
 
+def test_canonical_matrix_code_ignores_the_diagonal():
+    # position 0 sorts each whole row and drops the vertex's own entry, so
+    # the diagonal must not leak into the code, for bytes rows as for lists
+    rng = random.Random(15)
+    for _ in range(300):
+        r = rng.randint(0, 7)
+        matrices = []
+        for _ in range(rng.randint(1, 3)):
+            m = [[0] * r for _ in range(r)]
+            for i, j in itertools.combinations(range(r), 2):
+                m[i][j] = m[j][i] = rng.randrange(rng.randint(1, 4))
+            matrices.append(m)
+        code = canonical_matrix_code(r, matrices)
+        for m in matrices:
+            for v in range(r):
+                m[v][v] = rng.randrange(1, 256)
+        assert canonical_matrix_code(r, matrices) == code
+        assert canonical_matrix_code(r, [[bytes(row) for row in m] for m in matrices]) == code
+
+
 def test_has_clique_returns_least_clique_within_mask():
     # the witness is the lexicographically least k-clique inside the mask
     rng = random.Random(47)
