@@ -6,7 +6,10 @@ Each checkout runs the same ``er-lab`` commands in-process, from its own
 ``src``, in a fresh interpreter:
 
 - ``q2`` on the twelve q2-sweep cases and on (3,3,3,3)/6, (4,4,4)/6,
-  (5,5,5)/5 and (4,3,3,3)/5, the sweep's largest case one level deeper
+  (5,5,5)/5, (4,3,3,3)/5, the sweep's largest case one level deeper, and
+  (5,5,3)/7, whose last level has many children; and under budgets that
+  cut a level: (4,3,3,3)/4 with 5,000 nodes (its last level) and
+  (4,3,3)/5 with 50
 - ``tables`` in JSON and in tsv
 - ``certify --k`` and ``extension --k`` for the 15 solved families of
   ``tables``, and ``extension --k 4,4,4,4 --opt`` on AG(2,3) minus a line
@@ -35,7 +38,8 @@ import subprocess
 import sys
 import tempfile
 
-EXTRA_Q2 = [("3,3,3,3", 6), ("4,4,4", 6), ("5,5,5", 5), ("4,3,3,3", 5)]
+EXTRA_Q2 = [("3,3,3,3", 6), ("4,4,4", 6), ("5,5,5", 5), ("4,3,3,3", 5), ("5,5,3", 7)]
+BUDGETED_Q2 = [("4,3,3,3", 4, 5000), ("4,3,3", 5, 50)]
 SEED = 11
 LP_COMMANDS = [
     ["certify", "--k", "3,3,3,3", "--constraint", "T=3,4:cap=3"],
@@ -80,6 +84,7 @@ def commands(change: str, workdir: str) -> list:
     from bench import workloads
 
     argvs = [["q2", "--k", k, "--rmax", str(r)] for k, r in workloads.Q2_CASES + EXTRA_Q2]
+    argvs += [["q2", "--k", k, "--rmax", str(r), "--budget", str(b)] for k, r, b in BUDGETED_Q2]
     argvs += [["tables"], ["tables", "--format", "tsv"]]
     for family in workloads.TABLE_FAMILIES:
         k = ",".join(map(str, family))

@@ -10,6 +10,12 @@ McKay's orbit pruning): a symmetry carries a row's child onto the child of
 its image, and the orbit's least row comes first in the attachment order, so
 every class is still first found at the same base and row, and the
 representatives, codes and level order are those of attaching every row.
+
+The search (`solve_Q2`) builds the levels below r_max as classes.  The
+classes on r_max vertices are never extended, and q depends on a pattern
+only through its pair multiplicities, so their children are evaluated in
+found order by their multiplicity matrices, and only those that may be
+optimal are canonicalised.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from . import core, weights
-from .graphs import canonical_matrix_code, twin_classes
+from .graphs import canonical_matrix_code, has_clique, twin_classes
 
 
 @dataclass(frozen=True)
@@ -214,40 +220,63 @@ class _Budget:
         return True
 
 
-def pattern_levels(k: core.ColourSeq, budget: _Budget | None = None):
-    """Yield (reps, completed) for r = 2, 3, ...: one CanonicalPattern per
-    isomorphism class of the level-2 patterns on r vertices, sorted by code.
+def _children(level: dict, k: core.ColourSeq, budget: _Budget | None):
+    """For each base of `level` (code -> pattern, in found order): the base
+    and a list of (row, child mask rows) for its orbit-least attachment
+    rows, in attachment order.  A child's colour-mask matrix is its base's
+    (`_mask_rows`) with the row's masks joined on."""
+    subsets = core.colour_subsets(k.s, 2)
+    masks = {cs: sum(1 << (c - 1) for c in cs) for cs in subsets}
+    for base in level.values():
+        m = _mask_rows(base)
+        children = []
+        for row in orbit_least_rows(m, k, core.attachment_rows(base, k, subsets, budget)):
+            new = bytes([masks[cs] for cs in row])
+            children.append((row, [mv + new[i:i + 1] for i, mv in enumerate(m)] + [new + b"\0"]))
+        yield base, children
 
-    Level r + 1 extends the level-r representatives in the order they were
-    found.  A child's colour-mask matrix is its base's with the row's masks
-    joined on, and only a child whose code is new to the level is built as
-    a pattern.  Nothing follows a level that the budget cut short.
+
+def _levels(k: core.ColourSeq, budget: _Budget | None = None):
+    """Yield (level, completed) for r = 2, 3, ...: a dict from canonical code
+    to the representative of each isomorphism class of the level-2
+    patterns on r vertices, in the order the classes were found.
+
+    Level r + 1 extends the level-r representatives in that order, and a
+    child is built as a pattern only when its code is new to the level, so
+    each class keeps its first-found child.  Nothing follows a level that
+    the budget cut short.
     """
     if k.s > 8:
         raise core.ErlabError(f"{k.s} colours: the search takes at most 8 (masks are bytes)")
-    subsets = core.colour_subsets(k.s, 2)
-    masks = {cs: sum(1 << (c - 1) for c in cs) for cs in subsets}
     level: dict[bytes, core.ColourPattern] = {}
-    for cs in subsets:
+    for cs in core.colour_subsets(k.s, 2):
         p = core.ColourPattern(2, {(0, 1): cs})
         ok, _ = core.is_feasible(p, k, 2)
         if ok:
             level.setdefault(canonical_code(p, k), p)
     completed = True
     while True:
-        yield [CanonicalPattern(p, code) for code, p in sorted(level.items())], completed
+        yield level, completed
         if not completed:
             return
         nxt: dict[bytes, core.ColourPattern] = {}
-        for base in level.values():
-            m = _mask_rows(base)
-            for row in orbit_least_rows(m, k, core.attachment_rows(base, k, subsets, budget)):
-                new = bytes([masks[cs] for cs in row])
-                code = _rows_code([mv + new[i:i + 1] for i, mv in enumerate(m)] + [new + b"\0"], k)
+        for base, children in _children(level, k, budget):
+            for row, rows in children:
+                code = _rows_code(rows, k)
                 if code not in nxt:
                     nxt[code] = base.attach(row)
         level = nxt
         completed = budget is None or not budget.refused
+
+
+def pattern_levels(k: core.ColourSeq, budget: _Budget | None = None):
+    """Yield (reps, completed) for r = 2, 3, ...: one CanonicalPattern per
+    isomorphism class of the level-2 patterns on r vertices, sorted by code
+    (the levels of `_levels`).  Nothing follows a level that the budget cut
+    short.
+    """
+    for level, completed in _levels(k, budget):
+        yield [CanonicalPattern(p, code) for code, p in sorted(level.items())], completed
 
 
 def enumerate_patterns(r: int, k: core.ColourSeq, budget: _Budget | None = None):
@@ -263,6 +292,17 @@ def enumerate_patterns(r: int, k: core.ColourSeq, budget: _Budget | None = None)
     return (reps, completed) if reached == r else ([], False)
 
 
+# byte x -> the number of colours in mask x
+_POPCOUNT = bytes(bin(x).count("1") for x in range(256))
+
+
+def _bound(mmax: int, r: int) -> float:
+    """An upper bound on q for a pattern on r vertices whose pairs carry at
+    most mmax colours: q <= (1 - 1/r) log2 mmax, as 2 sum_{i<j} a_i a_j is
+    at most 1 - 1/r on the simplex."""
+    return (1 - 1 / r) * math.log2(max(mmax, 1))
+
+
 def solve_Q2(
     k: core.ColourSeq,
     r_max: int,
@@ -270,6 +310,34 @@ def solve_Q2(
     *,
     prune: bool = True,
 ) -> SearchResult:
+    """The best basic level-2 triple on at most r_max vertices: the largest
+    q over the classes on 2 .. r_max vertices whose optimum puts positive
+    weight on every vertex (a class whose optimum lives on fewer vertices is
+    found there), with the classes that tie it as optima.
+
+    Classes are evaluated level by level, each level in code order.  With
+    `prune`, a class is skipped once the best so far is positive and its
+    bound (1 - 1/r) log2 mmax (mmax its largest pair multiplicity) falls
+    more than 1e-9 below the best: it can neither beat nor tie it.  A class
+    whose q exceeds the best by more than 1e-9 becomes the best and the only
+    optimum; one within 1e-9 of the best joins the optima, and the best
+    stays as it was.
+
+    Levels 2 .. r_max - 1 are built as classes (`_levels`).  No class on
+    r_max vertices is extended, so the last level is not: the orbit-least
+    children of the level-(r_max - 1) representatives are read in the order
+    they are found, as the classes of the level would be (`_last_level`),
+    and only the children that may beat or tie the best are canonicalised.
+    Their classes, each represented by its first-found child as in
+    `_levels`, are then evaluated in code order by the rule above, so the
+    optima, their weights and the best are those of evaluating every class
+    of the level.
+
+    `nodes` counts the attachment DFS nodes of every level built, the last
+    included.  A level the budget cut short is evaluated as far as it was
+    built, no level follows it, and it and every later level are marked
+    not exhaustive.
+    """
     if r_max < 2:
         raise core.ErlabError(f"r_max={r_max}: the search needs r_max >= 2")
     if r_max >= core.ramsey_upper_bound(k):
@@ -281,28 +349,36 @@ def solve_Q2(
     best_numeric = -1.0
     optima: dict[bytes, core.FeasibleTriple] = {}
     exhaustive = {}
-    for r, (reps, completed) in zip(range(2, r_max + 1), pattern_levels(k, tracker)):
-        exhaustive[r] = completed
-        for rep in reps:
-            if prune and best_numeric > 0:
-                mmax = max(len(cs) for cs in rep.pattern.assignment.values())
-                bound = (1 - 1 / r) * math.log2(max(mmax, 1))
-                if bound < best_numeric - 1e-9:
-                    continue
-            opt = weights.optimize_weights(rep.pattern, k)
-            val = opt.value.numeric_value
-            if len(opt.support) < r:
-                continue  # basic optimum lives on fewer vertices; found there
-            if val > best_numeric + 1e-9:
-                best_numeric = val
-                best_triple = core.FeasibleTriple(rep.pattern, opt.weighting, level=2)
-                optima = {rep.canonical_code: best_triple}
-            elif abs(val - best_numeric) <= 1e-9:
-                optima.setdefault(
-                    rep.canonical_code,
-                    core.FeasibleTriple(rep.pattern, opt.weighting, level=2),
-                )
-        if not exhaustive[r]:
+
+    def consider(pattern: core.ColourPattern, code: bytes):
+        nonlocal best_triple, best_numeric, optima
+        r = pattern.r
+        if prune and best_numeric > 0:
+            mmax = max(len(cs) for cs in pattern.assignment.values())
+            if _bound(mmax, r) < best_numeric - 1e-9:
+                return
+        opt = weights.optimize_weights(pattern, k)
+        val = opt.value.numeric_value
+        if len(opt.support) < r:
+            return  # basic optimum lives on fewer vertices; found there
+        if val > best_numeric + 1e-9:
+            best_numeric = val
+            best_triple = core.FeasibleTriple(pattern, opt.weighting, level=2)
+            optima = {code: best_triple}
+        elif abs(val - best_numeric) <= 1e-9:
+            optima.setdefault(code, core.FeasibleTriple(pattern, opt.weighting, level=2))
+
+    levels = _levels(k, tracker)
+    for r in range(2, r_max + 1):
+        if 2 < r == r_max:
+            classes = _last_level(level, k, r, tracker, best_numeric, prune)
+        else:
+            level, _ = next(levels)
+            classes = sorted(level.items())
+        for code, pattern in classes:
+            consider(pattern, code)
+        exhaustive[r] = not tracker.refused
+        if tracker.refused:
             for later in range(r + 1, r_max + 1):
                 exhaustive[later] = False
             break
@@ -315,6 +391,73 @@ def solve_Q2(
         exhaustive=exhaustive,
         nodes=tracker.used,
     )
+
+
+def _last_level(level: dict, k: core.ColourSeq, r: int, budget: _Budget, best: float, prune: bool) -> list:
+    """The classes on r vertices, among the children of the level-(r - 1)
+    representatives `level`, that may beat or tie `best`, the best of the
+    levels below: (code, first-found child) pairs sorted by code.
+
+    The children are read in found order.  Each is skipped, with `prune`,
+    by the bound of `solve_Q2` against the running best; each one read is
+    checked, its base once by `core.is_feasible` and itself by the
+    multiplicity floor of 2 and a K_{k_c - 1} search in the base's colour-c
+    graph within the new vertex's colour-c neighbourhood, and a failure
+    raises `ErlabError`.  q depends on a pattern only through its pair
+    multiplicities, and its largest value is the same under a relabelling
+    of the vertices, so a child's q is read from a dict keyed by its
+    labelled multiplicity matrix; a key new to the search costs the
+    canonical code of that matrix (`graphs.canonical_matrix_code`), and only
+    a matrix new up to relabelling costs an `optimize_weights` call.
+
+    The children that beat or tie the running best by the rule of
+    `solve_Q2` are kept, and only they are canonicalised.  Whether the
+    optimum puts weight on every vertex can change with the labelling when
+    optima tie (a tie with an optimum on fewer vertices), so a child whose
+    read optimum does not is kept when it ties, though it never raises the
+    best: `solve_Q2` evaluates each kept class again on its representative,
+    and the values read here only select the classes.
+    """
+    values: dict[bytes, tuple] = {}  # multiplicity matrix -> (q, full support)
+    shapes: dict[bytes, tuple] = {}  # its canonical code -> the same
+    kept: list = []  # (q, base, row, child mask rows), in found order
+    for base, children in _children(level, k, budget):
+        ok, witness = core.is_feasible(base, k, 2)
+        if not ok:
+            raise core.ErlabError(f"search base on {base.r} vertices infeasible for {k}: {witness}")
+        adj = {c: base.colour_graph(c).adjacency_masks() for c in k.colours()}
+        for row, rows in children:
+            key = b"".join(rows).translate(_POPCOUNT)
+            if prune and best > 0 and _bound(max(key), r) < best - 1e-9:
+                continue
+            within = [0] * (k.s + 1)  # the new vertex's neighbourhood in each colour
+            for i, cs in enumerate(row):
+                if len(cs) < 2:
+                    raise core.ErlabError(f"search row {row} has a pair below two colours")
+                for c in cs:
+                    within[c] |= 1 << i
+            for c in k.colours():
+                if has_clique(adj[c], k[c] - 1, within[c]) is not None:
+                    raise core.ErlabError(f"search row {row} closes a K_{k[c]} in colour {c}")
+            if key not in values:
+                shape = canonical_matrix_code(r, [[key[i * r:(i + 1) * r] for i in range(r)]])
+                if shape not in shapes:
+                    opt = weights.optimize_weights(base.attach(row), k)
+                    shapes[shape] = (opt.value.numeric_value, len(opt.support) == r)
+                values[key] = shapes[shape]
+            val, basic = values[key]
+            if basic and val > best + 1e-9:
+                best = val
+                kept = [entry for entry in kept if entry[0] >= best - 1e-9]
+            elif val < best - 1e-9:
+                continue
+            kept.append((val, base, row, rows))
+    first: dict[bytes, core.ColourPattern] = {}
+    for _, base, row, rows in kept:
+        code = _rows_code(rows, k)
+        if code not in first:
+            first[code] = base.attach(row)
+    return sorted(first.items())
 
 
 def verify_candidate(triple: core.FeasibleTriple, k: core.ColourSeq) -> dict:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import ext_value, random_colour_sets, random_pattern, relabel, relabel_colours
 
-from erlab import constructions, core, search
+from erlab import constructions, core, search, weights
 from erlab.graphs import has_clique
 from erlab.logform import LogLinear
 
@@ -383,19 +383,54 @@ def codes(reps):
     return [(rep.canonical_code, list(rep.pattern.assignment.items())) for rep in reps]
 
 
+def reference_solve(k, levels, r_max, prune):
+    """Reference: the search's rule run over every class of `levels`
+    (`scratch_levels`), level by level, each level in code order.  Returns
+    (best_numeric, best_value, optima, exhaustive)."""
+    best_triple, best_numeric, optima, exhaustive = None, -1.0, {}, {}
+    for r, (reps, completed) in enumerate(levels, start=2):
+        exhaustive[r] = completed
+        for code, items in reps:
+            pattern = core.ColourPattern(r, dict(items))
+            if prune and best_numeric > 0:
+                mmax = max(len(cs) for cs in pattern.assignment.values())
+                if (1 - 1 / r) * math.log2(max(mmax, 1)) < best_numeric - 1e-9:
+                    continue
+            opt = weights.optimize_weights(pattern, k)
+            val = opt.value.numeric_value
+            if len(opt.support) < r:
+                continue
+            if val > best_numeric + 1e-9:
+                best_numeric = val
+                best_triple = core.FeasibleTriple(pattern, opt.weighting, level=2)
+                optima = {code: best_triple}
+            elif abs(val - best_numeric) <= 1e-9:
+                optima.setdefault(code, core.FeasibleTriple(pattern, opt.weighting, level=2))
+    for r in range(2, r_max + 1):
+        exhaustive.setdefault(r, False)
+    best_value = core.q_value(best_triple) if best_triple is not None else None
+    return best_numeric, best_value, [optima[c] for c in sorted(optima)], exhaustive
+
+
+def triples(optima):
+    return [(t.pattern.r, list(t.pattern.assignment.items()), [repr(w) for w in t.weighting]) for t in optima]
+
+
 def test_solve_q2_walks_the_levels_built_from_scratch(monkeypatch):
     # the search attaches one row per orbit of each base's symmetries; the
     # reference attaches every row, so equal levels mean equal classes,
-    # representatives and codes, and equal nodes mean the same rows tried
+    # representatives and codes, and equal nodes mean the same rows tried.
+    # The last level is evaluated from the children of level r_max - 1, not
+    # built as classes, yet gives the answer of evaluating all its classes.
     walked = []
-    levels = search.pattern_levels
+    levels = search._levels
 
     def recording(k, budget=None):
-        for reps, completed in levels(k, budget):
-            walked.append((codes(reps), completed))
-            yield reps, completed
+        for level, completed in levels(k, budget):
+            walked.append(([(code, list(p.assignment.items())) for code, p in sorted(level.items())], completed))
+            yield level, completed
 
-    monkeypatch.setattr(search, "pattern_levels", recording)
+    monkeypatch.setattr(search, "_levels", recording)
     for entries, r_max, budget in [
         ((3, 3, 3), 6, None), ((4, 4, 3), 5, None), ((4, 3, 3, 3), 4, None),
         ((5, 5, 5), 4, None), ((6, 6, 6), 4, None), ((3, 3, 3, 3), 5, None), ((5, 5, 4), 4, None),
@@ -403,14 +438,60 @@ def test_solve_q2_walks_the_levels_built_from_scratch(monkeypatch):
     ]:
         k = core.validate_sequence(entries)
         expected, nodes = scratch_levels(k, r_max, budget)
-        walked.clear()
-        res = search.solve_Q2(k, r_max, prune=False, **({} if budget is None else {"budget": budget}))
-        assert walked == expected, (entries, budget)  # no level beyond r_max, or past the cut, is built
-        assert res.nodes == nodes, (entries, budget)
+        for prune in (True, False):
+            walked.clear()
+            res = search.solve_Q2(k, r_max, prune=prune, **({} if budget is None else {"budget": budget}))
+            # no level is built as classes from r_max on, or past the cut
+            assert walked == expected[:r_max - 2], (entries, budget)
+            assert res.nodes == nodes, (entries, budget)
+            best_numeric, best_value, optima, exhaustive = reference_solve(k, expected, r_max, prune)
+            assert res.best_numeric == best_numeric, (entries, budget, prune)
+            assert (res.best_value is None) == (best_value is None)
+            assert best_value is None or res.best_value.d == best_value.d
+            assert res.exhaustive == exhaustive
+            assert triples(res.optima) == triples(optima), (entries, budget, prune)
         for r in range(2, r_max + 1):
             reps, completed = search.enumerate_patterns(r, k, None if budget is None else search._Budget(budget))
             # a budget that runs out before level r builds nothing on r vertices
             assert (codes(reps), completed) == (expected[r - 2] if r - 2 < len(expected) else ([], False))
+
+
+def test_solve_q2_cut_on_its_last_level_keeps_the_best_of_the_levels_below():
+    # the budget runs out while the children on 4 vertices are evaluated;
+    # the best stays the one found on 3 vertices
+    k = core.validate_sequence([4, 3, 3, 3])
+    res = search.solve_Q2(k, 4, budget=5000)
+    assert res.best_numeric == 1.0570523538970362
+    assert [t.pattern.r for t in res.optima] == [3]
+    assert res.exhaustive == {2: True, 3: True, 4: False}
+    assert res.nodes == 5000
+
+
+def test_solve_q2_checks_the_children_of_its_last_level(monkeypatch):
+    # an infeasible row joined to the first base of the last level, with the
+    # set sizes of the base's first row: its child shares that row's
+    # multiplicities, so only the search's own clique test can catch it
+    k = core.validate_sequence([4, 3, 3])
+    r_max = 4
+    subsets = core.colour_subsets(k.s, 2)
+    rows_of = core.attachment_rows
+    added = []
+
+    def with_an_infeasible_row(pattern, k, subsets, budget=None, **weighted):
+        rows = rows_of(pattern, k, subsets, budget, **weighted)
+        if pattern.r == r_max - 1 and not added:
+            sized = [[cs for cs in subsets if len(cs) == len(first)] for first in rows[0]]
+            for row in itertools.product(*sized):
+                infeasible = not core.is_feasible(pattern.attach(row), k, 2)[0]
+                if infeasible and search.orbit_least_rows(search._mask_rows(pattern), k, [row]):
+                    added.append(row)
+                    return rows + [row]
+        return rows
+
+    monkeypatch.setattr(core, "attachment_rows", with_an_infeasible_row)
+    with pytest.raises(core.ErlabError, match="closes a K_"):
+        search.solve_Q2(k, r_max, prune=False)
+    assert added
 
 
 def test_enumerate_patterns_under_a_budget_builds_level_r_or_nothing():
