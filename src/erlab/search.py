@@ -398,25 +398,22 @@ def _last_level(level: dict, k: core.ColourSeq, r: int, budget: _Budget, best: f
     representatives `level`, that may beat or tie `best`, the best of the
     levels below: (code, first-found child) pairs sorted by code.
 
-    The children are read in found order.  Each is skipped, with `prune`,
-    by the bound of `solve_Q2` against the running best; each one read is
-    checked, its base once by `core.is_feasible` and itself by the
-    multiplicity floor of 2 and a K_{k_c - 1} search in the base's colour-c
-    graph within the new vertex's colour-c neighbourhood, and a failure
-    raises `ErlabError`.  q depends on a pattern only through its pair
-    multiplicities, and its largest value is the same under a relabelling
-    of the vertices, so a child's q is read from a dict keyed by its
-    labelled multiplicity matrix; a key new to the search costs the
-    canonical code of that matrix (`graphs.canonical_matrix_code`), and only
-    a matrix new up to relabelling costs an `optimize_weights` call.
+    Children are read in found order and pruned by the bound of `solve_Q2`
+    against the running best.  Each one read is checked (its base once by
+    `core.is_feasible`, itself by the multiplicity floor of 2 and a
+    K_{k_c - 1} search in the base's colour-c graph within the new vertex's
+    colour-c neighbourhood), and a failure raises `ErlabError`.  Its q is
+    read by its labelled multiplicity matrix: q sees nothing else, and its
+    largest value is the same under a vertex relabelling, so a matrix new
+    to the search costs the canonical code of that matrix alone, and only
+    one new up to relabelling costs an `optimize_weights` call.
 
-    The children that beat or tie the running best by the rule of
-    `solve_Q2` are kept, and only they are canonicalised.  Whether the
-    optimum puts weight on every vertex can change with the labelling when
-    optima tie (a tie with an optimum on fewer vertices), so a child whose
-    read optimum does not is kept when it ties, though it never raises the
-    best: `solve_Q2` evaluates each kept class again on its representative,
-    and the values read here only select the classes.
+    The children that beat or tie the running best are kept, and only they
+    get a colour code.  Whether the optimum puts weight on every vertex can
+    change with the labelling when it ties an optimum on fewer vertices, so
+    a child whose read optimum does not is kept when it ties, but never
+    raises the best.  The values read here only select classes: `solve_Q2`
+    evaluates each again on its representative.
     """
     values: dict[bytes, tuple] = {}  # multiplicity matrix -> (q, full support)
     shapes: dict[bytes, tuple] = {}  # its canonical code -> the same
