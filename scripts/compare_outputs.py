@@ -6,10 +6,13 @@ Each checkout runs the same ``er-lab`` commands in-process, from its own
 ``src``, in a fresh interpreter:
 
 - ``q2`` on the twelve q2-sweep cases and on (3,3,3,3)/6, (4,4,4)/6,
-  (5,5,5)/5, (4,3,3,3)/5, the sweep's largest case one level deeper, and
-  (5,5,3)/7, whose last level has many children; and under budgets that
-  cut a level: (4,3,3,3)/4 with 5,000 nodes (its last level) and
-  (4,3,3)/5 with 50
+  (5,5,5)/5, (4,3,3,3)/5, the sweep's largest case one level deeper,
+  (5,5,3)/7, whose last level has many children, and (5,4,4)/5 and
+  (6,4,3)/5, whose optima lie on the last level; and under budgets that
+  cut a level: (4,3,3,3)/4 with 5,000 nodes (its last level), (4,3,3)/5
+  with 50, (5,4,4)/5 with 24,000 (its last level, after the best rose
+  there) and (4,4,3,3)/4 with 30,000 (two tied optima on its cut last
+  level)
 - ``tables`` in JSON and in tsv
 - ``certify --k`` and ``extension --k`` for the 15 solved families of
   ``tables``, and ``extension --k 4,4,4,4 --opt`` on AG(2,3) minus a line
@@ -38,8 +41,9 @@ import subprocess
 import sys
 import tempfile
 
-EXTRA_Q2 = [("3,3,3,3", 6), ("4,4,4", 6), ("5,5,5", 5), ("4,3,3,3", 5), ("5,5,3", 7)]
-BUDGETED_Q2 = [("4,3,3,3", 4, 5000), ("4,3,3", 5, 50)]
+EXTRA_Q2 = [("3,3,3,3", 6), ("4,4,4", 6), ("5,5,5", 5), ("4,3,3,3", 5), ("5,5,3", 7), ("5,4,4", 5),
+            ("6,4,3", 5)]
+BUDGETED_Q2 = [("4,3,3,3", 4, 5000), ("4,3,3", 5, 50), ("5,4,4", 5, 24000), ("4,4,3,3", 4, 30000)]
 SEED = 11
 LP_COMMANDS = [
     ["certify", "--k", "3,3,3,3", "--constraint", "T=3,4:cap=3"],

@@ -152,19 +152,21 @@ def constraint_validity_scan(con: Constraint, k: core.ColourSeq, r_max: int):
     """Search level-2 patterns up to r_max for a K_{k'} in H(T).
 
     Returns (valid_so_far, counterexample pattern or None, exhaustive flag);
-    the levels share a budget of 10**7 DFS nodes.  The scan refutes invalid
-    constraints; it cannot prove validity beyond the range searched.
+    the counterexample is the least by canonical code on the first level
+    that has one.  The levels share a budget of 10**7 DFS nodes.  The scan
+    refutes invalid constraints; it cannot prove validity beyond the range
+    searched.
     """
     if r_max < 2:
         raise core.ErlabError(f"r_max={r_max}: the scan needs r_max >= 2")
     tracker = search._Budget(10**7)
     exhaustive = True
-    for _, (reps, completed) in zip(range(2, r_max + 1), search.pattern_levels(k, tracker)):
+    for _, (level, completed) in zip(range(2, r_max + 1), search.pattern_levels(k, tracker)):
         exhaustive = exhaustive and completed
-        for rep in reps:
-            h = multiplicity_graph(rep.pattern, con.T)
+        for _, pattern in sorted(level.items()):
+            h = multiplicity_graph(pattern, con.T)
             if has_clique(h.adjacency_masks(), con.kprime) is not None:
-                return False, rep.pattern, exhaustive
+                return False, pattern, exhaustive
         if not completed:
             break
     return True, None, exhaustive

@@ -11,11 +11,12 @@ its image, and the orbit's least row comes first in the attachment order, so
 every class is still first found at the same base and row, and the
 representatives, codes and level order are those of attaching every row.
 
-The search (`solve_Q2`) builds the levels below r_max as classes.  The
-classes on r_max vertices are never extended, and q depends on a pattern
-only through its pair multiplicities, so their children are evaluated in
-found order by their multiplicity matrices, and only those that may be
-optimal are canonicalised.
+The search (`solve_Q2`) evaluates each level once, in the order its classes
+are found.  The classes on r_max vertices are never extended, so that level
+is not built as classes: q depends on a pattern only through its pair
+multiplicities, so the children of the level below are read by their
+multiplicity matrices, and only those that may beat or tie the best are
+canonicalised.
 """
 
 from __future__ import annotations
@@ -23,16 +24,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import core, weights
 from .graphs import canonical_matrix_code, has_clique, twin_classes
-
-
-@dataclass(frozen=True)
-class CanonicalPattern:
-    pattern: core.ColourPattern
-    canonical_code: bytes
 
 
 @dataclass
@@ -236,7 +232,7 @@ def _children(level: dict, k: core.ColourSeq, budget: _Budget | None):
         yield base, children
 
 
-def _levels(k: core.ColourSeq, budget: _Budget | None = None):
+def pattern_levels(k: core.ColourSeq, budget: _Budget | None = None):
     """Yield (level, completed) for r = 2, 3, ...: a dict from canonical code
     to the representative of each isomorphism class of the level-2
     patterns on r vertices, in the order the classes were found.
@@ -269,27 +265,18 @@ def _levels(k: core.ColourSeq, budget: _Budget | None = None):
         completed = budget is None or not budget.refused
 
 
-def pattern_levels(k: core.ColourSeq, budget: _Budget | None = None):
-    """Yield (reps, completed) for r = 2, 3, ...: one CanonicalPattern per
-    isomorphism class of the level-2 patterns on r vertices, sorted by code
-    (the levels of `_levels`).  Nothing follows a level that the budget cut
-    short.
-    """
-    for level, completed in _levels(k, budget):
-        yield [CanonicalPattern(p, code) for code, p in sorted(level.items())], completed
-
-
 def enumerate_patterns(r: int, k: core.ColourSeq, budget: _Budget | None = None):
-    """The level-r entry of `pattern_levels`: (list of CanonicalPattern,
-    completed flag).  When the budget runs out before level r, no pattern on
-    r vertices was built and the result is ([], False).
+    """The level-r entry of `pattern_levels` as (list of (code,
+    representative) pairs sorted by code, completed flag).  When the budget
+    runs out before level r, no pattern on r vertices was built and the
+    result is ([], False).
     """
     if r < 2:
         raise core.ErlabError("enumeration needs r >= 2")
     levels = itertools.islice(pattern_levels(k, budget), r - 1)
-    for reached, (reps, completed) in enumerate(levels, start=2):
+    for reached, (level, completed) in enumerate(levels, start=2):
         pass
-    return (reps, completed) if reached == r else ([], False)
+    return (sorted(level.items()), completed) if reached == r else ([], False)
 
 
 # byte x -> the number of colours in mask x
@@ -303,35 +290,27 @@ def _bound(mmax: int, r: int) -> float:
     return (1 - 1 / r) * math.log2(max(mmax, 1))
 
 
-def solve_Q2(
-    k: core.ColourSeq,
-    r_max: int,
-    budget: int = 10**8,
-    *,
-    prune: bool = True,
-) -> SearchResult:
+def solve_Q2(k: core.ColourSeq, r_max: int, budget: int = 10**8) -> SearchResult:
     """The best basic level-2 triple on at most r_max vertices: the largest
     q over the classes on 2 .. r_max vertices whose optimum puts positive
     weight on every vertex (a class whose optimum lives on fewer vertices is
     found there), with the classes that tie it as optima.
 
-    Classes are evaluated level by level, each level in code order.  With
-    `prune`, a class is skipped once the best so far is positive and its
-    bound (1 - 1/r) log2 mmax (mmax its largest pair multiplicity) falls
-    more than 1e-9 below the best: it can neither beat nor tie it.  A class
-    whose q exceeds the best by more than 1e-9 becomes the best and the only
-    optimum; one within 1e-9 of the best joins the optima, and the best
-    stays as it was.
+    Classes are evaluated level by level, each level once, in the order its
+    classes are found, by one rule.  A class is skipped once the best so
+    far is positive and its bound (1 - 1/r) log2 mmax (mmax its largest
+    pair multiplicity) falls more than 1e-9 below the best: it can neither
+    beat nor tie it.  A class whose q exceeds the best by more than 1e-9
+    becomes the best and the only optimum; one within 1e-9 of the best joins
+    the optima, and the best stays as it was.  The order matters only
+    between differing values within 1e-9 of each other.
 
-    Levels 2 .. r_max - 1 are built as classes (`_levels`).  No class on
-    r_max vertices is extended, so the last level is not: the orbit-least
-    children of the level-(r_max - 1) representatives are read in the order
-    they are found, as the classes of the level would be (`_last_level`),
-    and only the children that may beat or tie the best are canonicalised.
-    Their classes, each represented by its first-found child as in
-    `_levels`, are then evaluated in code order by the rule above, so the
-    optima, their weights and the best are those of evaluating every class
-    of the level.
+    Levels 2 .. r_max - 1 are built as classes (`pattern_levels`).  No class
+    on r_max vertices is extended, so the last level is not: it is read in
+    one pass over the children of the level-(r_max - 1) representatives,
+    and only a child that may beat or tie the running best is canonicalised
+    (`_last_level`).  Its class, represented by its first-found child as in
+    `pattern_levels`, is evaluated by the rule above.
 
     `nodes` counts the attachment DFS nodes of every level built, the last
     included.  A level the budget cut short is evaluated as far as it was
@@ -353,7 +332,7 @@ def solve_Q2(
     def consider(pattern: core.ColourPattern, code: bytes):
         nonlocal best_triple, best_numeric, optima
         r = pattern.r
-        if prune and best_numeric > 0:
+        if best_numeric > 0:
             mmax = max(len(cs) for cs in pattern.assignment.values())
             if _bound(mmax, r) < best_numeric - 1e-9:
                 return
@@ -368,13 +347,13 @@ def solve_Q2(
         elif abs(val - best_numeric) <= 1e-9:
             optima.setdefault(code, core.FeasibleTriple(pattern, opt.weighting, level=2))
 
-    levels = _levels(k, tracker)
+    levels = pattern_levels(k, tracker)
     for r in range(2, r_max + 1):
         if 2 < r == r_max:
-            classes = _last_level(level, k, r, tracker, best_numeric, prune)
+            classes = _last_level(level, k, r, tracker, lambda: best_numeric)
         else:
             level, _ = next(levels)
-            classes = sorted(level.items())
+            classes = level.items()
         for code, pattern in classes:
             consider(pattern, code)
         exhaustive[r] = not tracker.refused
@@ -393,10 +372,10 @@ def solve_Q2(
     )
 
 
-def _last_level(level: dict, k: core.ColourSeq, r: int, budget: _Budget, best: float, prune: bool) -> list:
-    """The classes on r vertices, among the children of the level-(r - 1)
-    representatives `level`, that may beat or tie `best`, the best of the
-    levels below: (code, first-found child) pairs sorted by code.
+def _last_level(level: dict, k: core.ColourSeq, r: int, budget: _Budget, best: Callable[[], float]):
+    """Yield (code, first-found child) for the classes on r vertices, among
+    the children of the level-(r - 1) representatives `level`, whose q may
+    beat or tie `best()`, the running best of `solve_Q2`.
 
     Children are read in found order and pruned by the bound of `solve_Q2`
     against the running best.  Each one read is checked (its base once by
@@ -406,18 +385,15 @@ def _last_level(level: dict, k: core.ColourSeq, r: int, budget: _Budget, best: f
     read by its labelled multiplicity matrix: q sees nothing else, and its
     largest value is the same under a vertex relabelling, so a matrix new
     to the search costs the canonical code of that matrix alone, and only
-    one new up to relabelling costs an `optimize_weights` call.
-
-    The children that beat or tie the running best are kept, and only they
-    get a colour code.  Whether the optimum puts weight on every vertex can
-    change with the labelling when it ties an optimum on fewer vertices, so
-    a child whose read optimum does not is kept when it ties, but never
-    raises the best.  The values read here only select classes: `solve_Q2`
-    evaluates each again on its representative.
+    one new up to relabelling costs an `optimize_weights` call.  A child
+    whose q is not below the best gets its colour code, and one new to the
+    level is yielded.  Children of one class share their q and their bound,
+    and the best only rises, so the first child of a class yielded is its
+    first-found child, the representative `pattern_levels` keeps.
     """
-    values: dict[bytes, tuple] = {}  # multiplicity matrix -> (q, full support)
-    shapes: dict[bytes, tuple] = {}  # its canonical code -> the same
-    kept: list = []  # (q, base, row, child mask rows), in found order
+    values: dict[bytes, float] = {}  # multiplicity matrix -> q
+    shapes: dict[bytes, float] = {}  # its canonical code -> the same
+    seen: set[bytes] = set()  # colour codes yielded
     for base, children in _children(level, k, budget):
         ok, witness = core.is_feasible(base, k, 2)
         if not ok:
@@ -425,7 +401,7 @@ def _last_level(level: dict, k: core.ColourSeq, r: int, budget: _Budget, best: f
         adj = {c: base.colour_graph(c).adjacency_masks() for c in k.colours()}
         for row, rows in children:
             key = b"".join(rows).translate(_POPCOUNT)
-            if prune and best > 0 and _bound(max(key), r) < best - 1e-9:
+            if best() > 0 and _bound(max(key), r) < best() - 1e-9:
                 continue
             within = [0] * (k.s + 1)  # the new vertex's neighbourhood in each colour
             for i, cs in enumerate(row):
@@ -439,22 +415,14 @@ def _last_level(level: dict, k: core.ColourSeq, r: int, budget: _Budget, best: f
             if key not in values:
                 shape = canonical_matrix_code(r, [[key[i * r:(i + 1) * r] for i in range(r)]])
                 if shape not in shapes:
-                    opt = weights.optimize_weights(base.attach(row), k)
-                    shapes[shape] = (opt.value.numeric_value, len(opt.support) == r)
+                    shapes[shape] = weights.optimize_weights(base.attach(row), k).value.numeric_value
                 values[key] = shapes[shape]
-            val, basic = values[key]
-            if basic and val > best + 1e-9:
-                best = val
-                kept = [entry for entry in kept if entry[0] >= best - 1e-9]
-            elif val < best - 1e-9:
+            if values[key] < best() - 1e-9:
                 continue
-            kept.append((val, base, row, rows))
-    first: dict[bytes, core.ColourPattern] = {}
-    for _, base, row, rows in kept:
-        code = _rows_code(rows, k)
-        if code not in first:
-            first[code] = base.attach(row)
-    return sorted(first.items())
+            code = _rows_code(rows, k)
+            if code not in seen:
+                seen.add(code)
+                yield code, base.attach(row)
 
 
 def verify_candidate(triple: core.FeasibleTriple, k: core.ColourSeq) -> dict:

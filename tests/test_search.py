@@ -116,13 +116,12 @@ def test_solve_q2_rejects_degenerate_range():
 
 
 def test_solve_q2_prune_agreement():
+    # the bounded search against every class evaluated, none skipped
     k = core.validate_sequence([3, 3, 3])
-    a = search.solve_Q2(k, 4, prune=True)
-    b = search.solve_Q2(k, 4, prune=False)
-    assert a.best_numeric == b.best_numeric
-    assert [t.pattern.assignment for t in a.optima] == [
-        t.pattern.assignment for t in b.optima
-    ]
+    a = search.solve_Q2(k, 4)
+    best_numeric, _, optima, _ = reference_solve(k, scratch_levels(k, 4)[0], 4, prune=False)
+    assert a.best_numeric == best_numeric
+    assert triples(a.optima) == triples(optima)
 
 
 def test_solve_q2_budget_exhaustion_is_reported():
@@ -181,7 +180,7 @@ def test_attachment_rows_match_brute_force():
         cases.append((t.pattern, k, t.weighting))
     for entries, r in [((4, 3, 3), 3), ((4, 3, 3), 4), ((3, 3, 3, 3), 3), ((4, 4), 3), ((4, 4, 3), 4)]:
         k = core.validate_sequence(entries)
-        cases += [(rep.pattern, k, None) for rep in search.enumerate_patterns(r, k)[0][:3]]
+        cases += [(p, k, None) for _, p in search.enumerate_patterns(r, k)[0][:3]]
     weighted = 0
     for pattern, k, alpha in cases:
         for least in (2, 0):  # the search's colour sets; the extension's, empty set included
@@ -267,7 +266,7 @@ def test_budgeted_attachment_rows_match_the_per_candidate_kernel():
     ]:
         k = core.validate_sequence(entries)
         subsets = core.colour_subsets(k.s, 2)
-        cases += [(rep.pattern, k, subsets, {}) for rep in search.enumerate_patterns(r, k)[0][:count]]
+        cases += [(p, k, subsets, {}) for _, p in search.enumerate_patterns(r, k)[0][:count]]
     # the extension's colour sets, with the weights and q of a stationary pattern:
     # the (3,3,3,3) optimum and AG(2,3) minus one line
     plane = constructions.affine_plane_triple()
@@ -380,7 +379,7 @@ def scratch_levels(k, r_max, budget=None):
 
 
 def codes(reps):
-    return [(rep.canonical_code, list(rep.pattern.assignment.items())) for rep in reps]
+    return [(code, list(p.assignment.items())) for code, p in reps]
 
 
 def reference_solve(k, levels, r_max, prune):
@@ -420,17 +419,18 @@ def test_solve_q2_walks_the_levels_built_from_scratch(monkeypatch):
     # the search attaches one row per orbit of each base's symmetries; the
     # reference attaches every row, so equal levels mean equal classes,
     # representatives and codes, and equal nodes mean the same rows tried.
-    # The last level is evaluated from the children of level r_max - 1, not
-    # built as classes, yet gives the answer of evaluating all its classes.
+    # The search evaluates each level in found order and the last level from
+    # the children of level r_max - 1, not built as classes, yet gives the
+    # answer of evaluating all classes in code order, bounded or not.
     walked = []
-    levels = search._levels
+    levels = search.pattern_levels
 
     def recording(k, budget=None):
         for level, completed in levels(k, budget):
             walked.append(([(code, list(p.assignment.items())) for code, p in sorted(level.items())], completed))
             yield level, completed
 
-    monkeypatch.setattr(search, "_levels", recording)
+    monkeypatch.setattr(search, "pattern_levels", recording)
     for entries, r_max, budget in [
         ((3, 3, 3), 6, None), ((4, 4, 3), 5, None), ((4, 3, 3, 3), 4, None),
         ((5, 5, 5), 4, None), ((6, 6, 6), 4, None), ((3, 3, 3, 3), 5, None), ((5, 5, 4), 4, None),
@@ -438,12 +438,12 @@ def test_solve_q2_walks_the_levels_built_from_scratch(monkeypatch):
     ]:
         k = core.validate_sequence(entries)
         expected, nodes = scratch_levels(k, r_max, budget)
+        walked.clear()
+        res = search.solve_Q2(k, r_max, **({} if budget is None else {"budget": budget}))
+        # no level is built as classes from r_max on, or past the cut
+        assert walked == expected[:r_max - 2], (entries, budget)
+        assert res.nodes == nodes, (entries, budget)
         for prune in (True, False):
-            walked.clear()
-            res = search.solve_Q2(k, r_max, prune=prune, **({} if budget is None else {"budget": budget}))
-            # no level is built as classes from r_max on, or past the cut
-            assert walked == expected[:r_max - 2], (entries, budget)
-            assert res.nodes == nodes, (entries, budget)
             best_numeric, best_value, optima, exhaustive = reference_solve(k, expected, r_max, prune)
             assert res.best_numeric == best_numeric, (entries, budget, prune)
             assert (res.best_value is None) == (best_value is None)
@@ -468,9 +468,12 @@ def test_solve_q2_cut_on_its_last_level_keeps_the_best_of_the_levels_below():
 
 
 def test_solve_q2_checks_the_children_of_its_last_level(monkeypatch):
-    # an infeasible row joined to the first base of the last level, with the
-    # set sizes of the base's first row: its child shares that row's
-    # multiplicities, so only the search's own clique test can catch it
+    # an infeasible row joined to the first base of the last level with a
+    # row that has a 3-colour set, with that row's set sizes: its child
+    # shares that row's multiplicities, so the search's own clique test must
+    # catch it before any optimiser call sees it, and its bound, 0.75 log2 3,
+    # keeps it above the best of the levels below (0.828; a row of 2-colour
+    # sets is bounded by 0.75)
     k = core.validate_sequence([4, 3, 3])
     r_max = 4
     subsets = core.colour_subsets(k.s, 2)
@@ -479,8 +482,9 @@ def test_solve_q2_checks_the_children_of_its_last_level(monkeypatch):
 
     def with_an_infeasible_row(pattern, k, subsets, budget=None, **weighted):
         rows = rows_of(pattern, k, subsets, budget, **weighted)
-        if pattern.r == r_max - 1 and not added:
-            sized = [[cs for cs in subsets if len(cs) == len(first)] for first in rows[0]]
+        first = next((row for row in rows if max(map(len, row)) == 3), None)
+        if pattern.r == r_max - 1 and first and not added:
+            sized = [[cs for cs in subsets if len(cs) == len(each)] for each in first]
             for row in itertools.product(*sized):
                 infeasible = not core.is_feasible(pattern.attach(row), k, 2)[0]
                 if infeasible and search.orbit_least_rows(search._mask_rows(pattern), k, [row]):
@@ -490,7 +494,7 @@ def test_solve_q2_checks_the_children_of_its_last_level(monkeypatch):
 
     monkeypatch.setattr(core, "attachment_rows", with_an_infeasible_row)
     with pytest.raises(core.ErlabError, match="closes a K_"):
-        search.solve_Q2(k, r_max, prune=False)
+        search.solve_Q2(k, r_max)
     assert added
 
 
@@ -499,9 +503,9 @@ def test_enumerate_patterns_under_a_budget_builds_level_r_or_nothing():
     assert search.enumerate_patterns(5, k, search._Budget(50)) == ([], False)
     assert search.enumerate_patterns(4, k, search._Budget(50)) == ([], False)
     reps, completed = search.enumerate_patterns(3, k, search._Budget(50))
-    assert not completed and reps and all(rep.pattern.r == 3 for rep in reps)
+    assert not completed and reps and all(p.r == 3 for _, p in reps)
     reps, completed = search.enumerate_patterns(4, k, search._Budget(333))
-    assert completed and [rep.pattern.r for rep in reps] == [4, 4, 4]
+    assert completed and [p.r for _, p in reps] == [4, 4, 4]
 
 
 def brute_force_automorphisms(pattern, k):
@@ -555,7 +559,7 @@ def symmetry_cases():
                                          for p in itertools.combinations(range(5), 2)}), k3))
     for entries, r in [((3, 3, 3), 4), ((3, 3, 3), 5), ((4, 4), 5), ((4, 4, 3), 4), ((3, 3, 3, 3), 4)]:
         k = core.validate_sequence(entries)
-        cases += [(rep.pattern, k) for rep in search.enumerate_patterns(r, k)[0][:6]]
+        cases += [(p, k) for _, p in search.enumerate_patterns(r, k)[0][:6]]
     for entries in [(3, 3, 3), (4, 3, 3), (3, 3, 3, 3)]:
         k = core.validate_sequence(entries)
         for r in (3, 4, 5, 6):
@@ -589,7 +593,7 @@ def test_orbit_least_rows_keep_the_least_row_of_each_orbit():
     cases = []
     for entries in [(4, 4, 3), (4, 3, 3), (5, 5, 5), (6, 6, 6), (4, 4, 4), (3, 3, 3, 3), (5, 5, 4), (4, 3, 3, 3)]:
         k = core.validate_sequence(entries)
-        cases += [(rep.pattern, k) for r in (2, 3, 4) for rep in search.enumerate_patterns(r, k)[0][:30]]
+        cases += [(p, k) for r in (2, 3, 4) for _, p in search.enumerate_patterns(r, k)[0][:30]]
     kept = twins = 0
     for pattern, k in cases:
         subsets = core.colour_subsets(k.s, 2)
