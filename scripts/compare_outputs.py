@@ -21,8 +21,10 @@ Each checkout runs the same ``er-lab`` commands in-process, from its own
 - ``symmetrise --input`` on the level-0 patterns of ``SYMMETRISE_INPUTS``:
   exact weights, float weights, a zero-weight vertex and a clone pair
 - the ``oracle count`` and ``oracle extremal`` operations of the
-  oracle-bruteforce workload (seed 11), ``oracle extremal --n 7 --k 3,3``
-  and ``oracle count`` on K_7 with k = (4,3) and (4,4)
+  oracle-bruteforce workload (seed 11), ``oracle extremal --n 7 --k 3,3``,
+  ``oracle count`` on K_7 with k = (4,3), (4,4) and (5,3), and on a
+  9-vertex wheel with four chords with k = (4,3): its hub has more earlier
+  neighbours than the count's tail, so the tally reads fixed star edges
 
 The command list, AG(2,3) minus a line and the oracle input graphs come
 from CHANGE's ``bench/workloads.py``, read without writing anything under
@@ -52,7 +54,14 @@ LP_COMMANDS = [
 ]
 # counts beyond the workload's six oracle operations
 ORACLE_EXTREMAL = [["oracle", "extremal", "--n", "7", "--k", "3,3"]]
-K7_COUNTS = ["4,3", "4,4"]
+# count inputs (vertices 1-based): K_7, and the wheel with hub 1 on the
+# cycle 2..9 with chords 2-4, 4-6, 6-8 and 8-2
+ORACLE_GRAPHS = {
+    "k7": {"n": 7, "edges": [[u, v] for v in range(2, 8) for u in range(1, v)]},
+    "wheel": {"n": 9, "edges": [[1, v] for v in range(2, 10)] + [[v, v + 1] for v in range(2, 9)]
+              + [[2, 9], [2, 4], [4, 6], [6, 8], [2, 8]]},
+}
+ORACLE_COUNTS = [("k7", "4,3"), ("k7", "4,4"), ("k7", "5,3"), ("wheel", "4,3")]
 # pattern files in the format of `er-lab verify` (vertices 1-based)
 SYMMETRISE_INPUTS = {
     "exact": {"k": [3, 3, 3], "r": 4, "alpha": ["1/3", "1/6", "1/4", "1/4"],
@@ -105,10 +114,11 @@ def commands(change: str, workdir: str) -> list:
         argvs.append(["symmetrise", "--input", path])
     oracle = workloads.Workload("oracle-bruteforce", SEED, workdir, reference={})
     argvs += [op.argv for op in oracle.ops] + ORACLE_EXTREMAL
-    k7_path = os.path.join(workdir, "k7.json")
-    with open(k7_path, "w") as fh:
-        json.dump({"n": 7, "edges": [[u, v] for v in range(2, 8) for u in range(1, v)]}, fh)
-    return argvs + [["oracle", "count", "--graph", k7_path, "--k", k] for k in K7_COUNTS]
+    for name, graph in ORACLE_GRAPHS.items():
+        with open(os.path.join(workdir, f"{name}.json"), "w") as fh:
+            json.dump(graph, fh)
+    return argvs + [["oracle", "count", "--graph", os.path.join(workdir, f"{name}.json"), "--k", k]
+                    for name, k in ORACLE_COUNTS]
 
 
 def run(checkout: str, argvs: list) -> list:

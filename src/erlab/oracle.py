@@ -6,12 +6,15 @@ equal clique orders are interchangeable, so the count walks one colouring per
 orbit and weighs it by the orbit's size; and the graph sweep adds one edge per
 pair of twin classes, since the other choices give isomorphic graphs.  The
 count colours edges in colex order, so each clique is tested as soon as all
-its vertices are present, and tallies the colours of the last edge in place
-of one leaf per colouring.
+its vertices are present, with a vertex of largest degree last, and counts
+every colouring of that vertex's last TAIL star edges at once, from one
+truth table per colour over the subsets of those edges.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +24,60 @@ from .graphs import SimpleGraph, canonical_matrix_code, has_clique, multipartite
 
 class TooLarge(core.ErlabError):
     pass
+
+
+# blow-up counts from 10^BLOWUP_LOG10 up are refused: they could have more
+# than the 4,300 digits that int-to-str conversion accepts by default
+BLOWUP_LOG10 = 4299
+
+
+TAIL = 6  # star edges of the tally vertex counted at once: tables of 2^6 bits
+
+
+@functools.lru_cache(maxsize=TAIL)
+def _miss_tables(d: int) -> tuple:
+    """Over the 2^d subsets S of d tail edges, as 2^d-bit tables with bit S
+    for subset S: for each mask L, the table of the S that miss L and the
+    table of the S whose complement misses L (the S that contain L)."""
+    miss = tuple(sum(1 << S for S in range(1 << d) if not S & L) for L in range(1 << d))
+    cover = tuple(sum(1 << S for S in range(1 << d) if S & L == L) for L in range(1 << d))
+    return miss, cover
+
+
+def _star_table(adj: list, j: int, fixed: int, free: int, t0: int, miss: tuple) -> int:
+    """The tail subsets S (bit S of a 2^d-bit table) for which the vertices
+    `fixed` plus the tail vertices t0 + x, x in S and in the mask `free`,
+    span no K_j in adj.  With miss[L] the table of the S that miss L, a
+    clique through a tail vertex is found from its least one, x: the rest is
+    a K_{j-1} among x's neighbours, fixed or in the tail above x.  With the
+    `cover` tables of `_miss_tables` in place of `miss`, bit S is that of
+    the complement of S."""
+    if j == 1:
+        return 0 if fixed else miss[free]
+    if fixed and has_clique(adj, j, fixed) is not None:
+        return 0
+    table = miss[0]
+    while free and table:
+        low = free & -free
+        free ^= low
+        nx = adj[t0 + low.bit_length() - 1]
+        table &= miss[low] | _star_table(adj, j - 1, fixed & nx, free & (nx >> t0), t0, miss)
+    return table
+
+
+def _splits(tables: list, last: int, used: int, miss: tuple) -> int:
+    """Ways to give each colour of `tables`, in turn, a part of the tail
+    outside `used` that its table allows, the rest going to the colour whose
+    complemented table is `last`."""
+    allowed = tables[0] & miss[used]
+    if len(tables) == 1:
+        return (allowed & (last >> used)).bit_count()
+    ways = 0
+    while allowed:
+        part = allowed & -allowed
+        allowed ^= part
+        ways += _splits(tables[1:], last, used | (part.bit_length() - 1), miss)
+    return ways
 
 
 def count_valid_colourings(g: SimpleGraph, k: core.ColourSeq) -> int:
@@ -34,21 +91,37 @@ def count_valid_colourings(g: SimpleGraph, k: core.ColourSeq) -> int:
     walked once, in restricted-growth order.  The first use of the i-th
     colour (0-based) of a run of m weighs its subtree by m - i.
 
-    Edges are visited in colex order (larger endpoint, then smaller): all
-    edges among smaller vertices are coloured before those of a new vertex,
-    so a branch that closes a forbidden clique is cut at the clique's last
-    edge.  The last edge adds up the weights of the colours that fit rather
-    than descending once per colouring; the empty graph counts 1.
+    The vertices are relabelled so that a vertex w of largest degree comes
+    last and its neighbours first, and edges are visited in colex order
+    (larger endpoint, then smaller): all edges among smaller vertices are
+    coloured before those of a new vertex, so a branch that closes a
+    forbidden clique is cut at the clique's last edge, and w's star comes
+    last.  The DFS stops before the last d = min(deg w, TAIL) star edges,
+    the tail, and counts every colouring of the tail at once.  Per colour,
+    a table over the 2^d subsets S of the tail marks those that w's fixed
+    neighbours in that colour plus S leave without a K_{k_c - 1}; the tally
+    is the number of splits of the tail into one allowed part per colour.
+    Colours not yet used take part with empty graphs: the tally then counts
+    every naming of the new colour classes by unused colours of their runs,
+    which is what the restricted-growth weights m - i would add up, so each
+    node adds its weight times its splits.  The empty graph counts 1.
     """
     s = k.s
     e = len(g.edges)
     if (s == 2 and e > 24) or (s > 2 and s**e > 10**8):
         raise TooLarge(f"{s}^{e} colourings is beyond the brute-force guard")
-    edges = sorted(g.edges, key=lambda uv: (uv[1], uv[0]))  # colex
-    if not edges:
+    if not e:
         return 1
-    *inner, (lu, lv) = edges
-    last = len(inner)
+    n = g.n
+    masks = g.adjacency_masks()
+    w = max(range(n), key=lambda v: masks[v].bit_count())
+    star = [v for v in range(n) if masks[w] >> v & 1]
+    order = star + [v for v in range(n) if v != w and not masks[w] >> v & 1] + [w]
+    label = {v: i for i, v in enumerate(order)}
+    edges = sorted(sorted((label[u], label[v]), reverse=True) for u, v in g.edges)  # colex
+    d = min(len(star), TAIL)
+    stop, t0, free = e - d, len(star) - d, (1 << d) - 1
+    miss, cover = _miss_tables(d)
     # per colour: its adjacency masks, the clique order a new edge's common
     # neighbourhood must not contain (k_c - 2) and what its first use opens:
     # None, or (weight m - i, the next colour of its run); the last colour
@@ -57,21 +130,19 @@ def count_valid_colourings(g: SimpleGraph, k: core.ColourSeq) -> int:
     later = 0  # colours after c in its run
     for c in reversed(range(s)):
         later = later + 1 if c + 1 < s and k.entries[c + 1] == k.entries[c] else 0
-        plan[c] = ([0] * g.n, k.entries[c] - 2, (later + 1, plan[c + 1]) if later else None)
+        plan[c] = ([0] * n, k.entries[c] - 2, (later + 1, plan[c + 1]) if later else None)
     open_colours = [plan[c] for c in range(s) if c == 0 or k.entries[c - 1] != k.entries[c]]
+    *first, final = [(adj, need + 1) for adj, need, _ in plan]
     count = 0
 
     def dfs(idx: int, open_colours: list, weight: int):
         nonlocal count
-        if idx == last:
-            # the last edge closes no branch below it: tally the colours
-            # that fit, each weighed by what its first use would open
-            for adj, need, opens in open_colours:
-                common = adj[lu] & adj[lv]
-                if not common or (need != 1 and has_clique(adj, need, common) is None):
-                    count += weight if opens is None else weight * opens[0]
+        if idx == stop:
+            tables = [_star_table(adj, j, adj[n - 1], free, t0, miss) for adj, j in first]
+            last = _star_table(final[0], final[1], final[0][n - 1], free, t0, cover)
+            count += weight * _splits(tables, last, 0, miss)
             return
-        u, v = inner[idx]
+        u, v = edges[idx]
         bu, bv = 1 << u, 1 << v
         for colour in open_colours:
             adj, need, opens = colour
@@ -186,15 +257,13 @@ def round_weights(weighting, n: int) -> list:
 
 def pattern_colouring_count(triple: core.FeasibleTriple, n: int) -> int:
     """Colourings realised by the blow-up of a pattern with n vertices:
-    the exact product of |phi(ij)|^(n_i * n_j)."""
+    the exact product of |phi(ij)|^(n_i * n_j).  A nonzero product of
+    10^BLOWUP_LOG10 or more is refused before it is built."""
     sizes = round_weights(triple.weighting, n)
-    total = 1
-    pattern = triple.pattern
-    for (i, j), cs in pattern.assignment.items():
-        m = len(cs)
-        if m == 0:
-            if sizes[i] and sizes[j]:
-                return 0
-            continue
-        total *= m ** (sizes[i] * sizes[j])
-    return total
+    factors = [(len(cs), sizes[i] * sizes[j]) for (i, j), cs in triple.pattern.assignment.items()]
+    if any(m == 0 and power for m, power in factors):
+        return 0
+    log10 = sum(power * math.log10(m) for m, power in factors if m)
+    if log10 >= BLOWUP_LOG10:
+        raise TooLarge(f"the blow-up count is about 10^{log10:.0f}, beyond the 10^{BLOWUP_LOG10} guard")
+    return math.prod(m**power for m, power in factors)

@@ -66,26 +66,19 @@ def random_float_simplex(rng, r):
 
 
 def brute_force_count(g: SimpleGraph, k: core.ColourSeq) -> int:
-    """Independent oracle: iterate every colouring, test every clique."""
+    """Independent oracle: iterate every colouring, test every clique of g
+    of each colour's forbidden order."""
     edges = sorted(g.edges)
+    index = {e: i for i, e in enumerate(edges)}
+    cliques = [
+        (c, [index[uv] for uv in itertools.combinations(sub, 2)])
+        for c in k.colours()
+        for sub in itertools.combinations(range(g.n), k[c])
+        if all(uv in index for uv in itertools.combinations(sub, 2))
+    ]
     count = 0
     for colouring in itertools.product(k.colours(), repeat=len(edges)):
-        by_colour = {c: set() for c in k.colours()}
-        for e, c in zip(edges, colouring):
-            by_colour[c].add(e)
-        good = True
-        for c in k.colours():
-            es = by_colour[c]
-            for sub in itertools.combinations(range(g.n), k[c]):
-                if all(
-                    (min(u, v), max(u, v)) in es
-                    for u, v in itertools.combinations(sub, 2)
-                ):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
+        if not any(all(colouring[i] == c for i in clique) for c, clique in cliques):
             count += 1
     return count
 

@@ -130,6 +130,25 @@ def test_oracle_commands(tmp_path, capsys):
     assert json.loads(out)["results"]["count"] == "512"
 
 
+def test_oracle_blowup_refuses_a_count_too_large_to_print(tmp_path, capsys):
+    # the two-vertex (3,3) pattern with pair {1,2} and weights 1/2 has
+    # 2^(n^2/4) blow-up colourings: 3,011 digits at n = 200, 6,774 at
+    # n = 300, more than int-to-str conversion accepts
+    k = core.validate_sequence([3, 3])
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(core.triple_to_json(constructions.known_optimum(k), k)))
+    code, out = run_cli(capsys, ["oracle", "blowup", "--input", str(path), "--n", "200"])
+    assert code == 0
+    assert json.loads(out)["results"]["count"] == str(2**10000)
+    code = cli.run(["oracle", "blowup", "--input", str(path), "--n", "300"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == ""
+    report = json.loads(out)
+    assert report["command"] == "error"
+    assert report["results"]["error"] == "TooLarge"
+
+
 def test_symmetrise_command(tmp_path, capsys):
     k = core.validate_sequence([3, 3])
     p = core.ColourPattern(3, {(0, 1): {1, 2}, (0, 2): {1}, (1, 2): {2}})

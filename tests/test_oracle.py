@@ -63,10 +63,13 @@ def test_count_k4_two_colours():
 
 def test_count_complete_graphs_beyond_the_naive_brute_force():
     # frozen from a count in lexicographic edge order, which the colex walk
-    # does not share; brute_force_count cannot reach these in test time
+    # does not share, and (5,3) on K_7 and (4,4) on K_6 from the colex walk
+    # with a last-edge tally; brute_force_count cannot reach these in test
+    # time
     frozen = [
         (5, (3, 3), 12), (6, (3, 3), 0), (6, (4, 3), 2812), (7, (4, 3), 13842),
-        (7, (4, 4), 923012), (5, (3, 3, 3), 17136), (5, (4, 4, 4), 57906),
+        (7, (4, 4), 923012), (7, (5, 3), 113949), (6, (4, 4), 22484), (5, (3, 3, 3), 17136),
+        (5, (4, 4, 4), 57906),
     ]
     for n, entries, value in frozen:
         k = core.validate_sequence(entries)
@@ -88,6 +91,33 @@ def test_count_invariant_under_vertex_relabelling():
             count = oracle.count_valid_colourings(SimpleGraph(n, frozenset(edges)), k)
             assert count == oracle.count_valid_colourings(SimpleGraph(n, frozenset(relabelled)), k), (
                 entries, edges, perm)
+
+
+def test_count_partial_tail_matches_product_brute_force():
+    # a hub of degree 8 to 10 comes last with more earlier neighbours than
+    # the TAIL star edges tallied at once: the DFS colours its first star
+    # edges, and the tally reads them as fixed neighbours.  The other edges
+    # join the hub's neighbours, so every one closes a triangle with it
+    rng = random.Random(23)
+    for entries, degree, extra in [
+        ((3, 3), 8, 5), ((4, 3), 9, 6), ((3, 3), 10, 5), ((3, 3, 3), 8, 2), ((4, 3, 3), 9, 1),
+        ((3, 3, 3), 10, 1),
+    ]:
+        k = core.validate_sequence(entries)
+        n = degree + 1
+        hub = rng.randrange(n)
+        others = [v for v in range(n) if v != hub]
+        pairs = [(u, v) for u in others for v in others if u < v]
+        edges = {(min(hub, v), max(hub, v)) for v in others} | set(rng.sample(pairs, extra))
+        g = SimpleGraph(n, frozenset(edges))
+        assert degree > oracle.TAIL
+        count = oracle.count_valid_colourings(g, k)
+        assert count == brute_force_count(g, k) < k.s ** len(edges), (entries, edges)
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relabelled = SimpleGraph(n, frozenset((perm[u], perm[v]) for u, v in edges))
+            assert oracle.count_valid_colourings(relabelled, k) == count, (entries, edges, perm)
 
 
 def test_count_guards():
