@@ -22,7 +22,9 @@ Each checkout runs the same ``er-lab`` commands in-process, from its own
   exact weights, float weights, a zero-weight vertex and a clone pair
 - the ``oracle count`` and ``oracle extremal`` operations of the
   oracle-bruteforce workload (seed 11), ``oracle extremal --n 7 --k 3,3``,
-  ``oracle count`` on K_7 with k = (4,3), (4,4) and (5,3), and on a
+  ``oracle extremal`` at n = 7 with k = (4,3) and (4,4) and at n = 5 with
+  k = (3,3,3,3), where the restriction bound leaves few of the classes to
+  count, ``oracle count`` on K_7 with k = (4,3), (4,4) and (5,3), and on a
   9-vertex wheel with four chords with k = (4,3): its hub has more earlier
   neighbours than the count's tail, so the tally reads fixed star edges
 
@@ -53,7 +55,8 @@ LP_COMMANDS = [
     ["lp", "--k", "3,3,3,3"],
 ]
 # counts beyond the workload's six oracle operations
-ORACLE_EXTREMAL = [["oracle", "extremal", "--n", "7", "--k", "3,3"]]
+ORACLE_EXTREMAL = [["oracle", "extremal", "--n", str(n), "--k", k]
+                   for n, k in [(7, "3,3"), (7, "4,3"), (7, "4,4"), (5, "3,3,3,3")]]
 # count inputs (vertices 1-based): K_7, and the wheel with hub 1 on the
 # cycle 2..9 with chords 2-4, 4-6, 6-8 and 8-2
 ORACLE_GRAPHS = {

@@ -64,7 +64,7 @@ def _load_json(path: str) -> dict:
 def _load_graph(path: str) -> SimpleGraph:
     try:
         return graph_from_json(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f'{path} is not a graph: it needs "n" and edges within [1, n] ({exc})') from exc
 
 
@@ -74,7 +74,7 @@ def _load_triple(path: str) -> tuple:
         raise UsageError(f'{path} is not a pattern: it needs "k" and "r"')
     try:
         return core.triple_from_json(obj)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{path} is not a pattern: {exc}") from exc
 
 

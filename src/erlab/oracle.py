@@ -8,7 +8,10 @@ pair of twin classes, since the other choices give isomorphic graphs.  The
 count colours edges in colex order, so each clique is tested as soon as all
 its vertices are present, with a vertex of largest degree last, and counts
 every colouring of that vertex's last TAIL star edges at once, from one
-truth table per colour over the subsets of those edges.
+truth table per colour over the subsets of those edges.  The sweep is built
+once per n per process, and the extremal search counts its classes densest
+first, skipping each class whose restriction bound is below the best count
+so far.
 """
 
 from __future__ import annotations
@@ -19,7 +22,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import core
-from .graphs import SimpleGraph, canonical_matrix_code, has_clique, multipartite_parts, twin_classes
+from .graphs import (
+    SimpleGraph,
+    canonical_matrix_code,
+    complete_graph,
+    has_clique,
+    max_clique,
+    multipartite_parts,
+    twin_classes,
+)
 
 
 class TooLarge(core.ErlabError):
@@ -80,6 +91,12 @@ def _splits(tables: list, last: int, used: int, miss: tuple) -> int:
     return ways
 
 
+def _guard(s: int, e: int) -> None:
+    """Refuse to count the s^e colourings of e edges when there are too many."""
+    if (s == 2 and e > 24) or (s > 2 and s**e > 10**8):
+        raise TooLarge(f"{s}^{e} colourings is beyond the brute-force guard")
+
+
 def count_valid_colourings(g: SimpleGraph, k: core.ColourSeq) -> int:
     """F(G; k): edge colourings of g with no K_{k_c} in colour c.
 
@@ -108,8 +125,7 @@ def count_valid_colourings(g: SimpleGraph, k: core.ColourSeq) -> int:
     """
     s = k.s
     e = len(g.edges)
-    if (s == 2 and e > 24) or (s > 2 and s**e > 10**8):
-        raise TooLarge(f"{s}^{e} colourings is beyond the brute-force guard")
+    _guard(s, e)
     if not e:
         return 1
     n = g.n
@@ -180,16 +196,8 @@ def is_complete_multipartite(g: SimpleGraph) -> bool:
     return multipartite_parts(g) is not None
 
 
-def graph_classes(n: int) -> list:
-    """One edge set per isomorphism class of graphs on n vertices.
-
-    Graphs are generated level-wise by edge additions from the empty graph,
-    deduplicated by canonical code; every isomorphism class contains a chain
-    down to the empty graph, so the sweep is exhaustive.  Of the non-edges
-    joining the same two twin classes only the first in pair order is added:
-    an automorphism maps it to each of the others, so they would give
-    children isomorphic to one already tried.
-    """
+@functools.cache
+def _sweep(n: int) -> tuple:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     classes = {_canonical_graph_code(n, frozenset()): frozenset()}
     frontier = dict(classes)
@@ -209,7 +217,31 @@ def graph_classes(n: int) -> list:
                     nxt[code] = e2
         classes.update(nxt)
         frontier = nxt
-    return list(classes.values())
+    return tuple(classes.values())
+
+
+def graph_classes(n: int) -> list:
+    """One edge set per isomorphism class of graphs on n vertices.
+
+    Graphs are generated level-wise by edge additions from the empty graph,
+    deduplicated by canonical code; every isomorphism class contains a chain
+    down to the empty graph, so the sweep is exhaustive.  Of the non-edges
+    joining the same two twin classes only the first in pair order is added:
+    an automorphism maps it to each of the others, so they would give
+    children isomorphic to one already tried.  The sweep is built once per
+    n per process; each call returns a fresh list of its classes, in the
+    order they were found.
+    """
+    return list(_sweep(n))
+
+
+@functools.cache
+def _densest_first(n: int) -> tuple:
+    """(class index, graph, edge count, clique number) of every class of
+    `graph_classes(n)`, edge count descending, ties in class order."""
+    graphs = [SimpleGraph(n, edges) for edges in _sweep(n)]
+    order = sorted(range(len(graphs)), key=lambda i: -len(graphs[i].edges))
+    return tuple((i, graphs[i], len(graphs[i].edges), max_clique(graphs[i])[0]) for i in order)
 
 
 @dataclass
@@ -217,24 +249,47 @@ class ExtremalResult:
     maximum: int
     maximisers: list  # SimpleGraph representatives, one per iso class
     all_complete_multipartite: bool
-    classes_examined: int
+    classes_examined: int  # the classes swept, counted or ruled out
 
 
 def extremal_search(n: int, k: core.ColourSeq) -> ExtremalResult:
-    """Maximise F(G; k) over all graphs on n vertices, up to isomorphism."""
+    """Maximise F(G; k) over all graphs on n vertices, up to isomorphism.
+
+    The classes of `graph_classes(n)` are counted densest first (edge count
+    descending, ties in class order), so K_n comes first.  A class G is
+    ruled out, uncounted, when an upper bound on F(G; k) is strictly below
+    the best count so far: s^e(G), then F(K_w; k) s^(e(G) - C(w, 2)) with w
+    the clique number of G, since every valid colouring of G restricts to
+    one of a K_w inside it; F(K_w; k) is counted once per w.  Every class
+    that attains the maximum is counted, and the maximisers are listed in
+    class order.  The size guard of `count_valid_colourings` is tried on
+    each edge count in turn first, so a refusal names the sparsest class
+    it refuses, as it would in a sweep in class order.
+    """
     limit = 7 if k.s == 2 else 5
     if n > limit:
         raise TooLarge(f"extremal search limited to n <= {limit} for s={k.s}")
-    classes = graph_classes(n)
+    s = k.s
+    for e in range(math.comb(n, 2) + 1):
+        _guard(s, e)
+    classes = _densest_first(n)
+    clique_counts = {}
     best = -1
     maximisers = []
-    for edges in classes:
-        g = SimpleGraph(n, edges)
+    for index, g, e, w in classes:
+        if s**e < best:
+            continue
+        if best > 0:
+            if w not in clique_counts:
+                clique_counts[w] = count_valid_colourings(complete_graph(w), k)
+            if clique_counts[w] * s ** (e - math.comb(w, 2)) < best:
+                continue
         f = count_valid_colourings(g, k)
         if f > best:
-            best, maximisers = f, [g]
+            best, maximisers = f, [(index, g)]
         elif f == best:
-            maximisers.append(g)
+            maximisers.append((index, g))
+    maximisers = [g for _, g in sorted(maximisers, key=lambda m: m[0])]
     return ExtremalResult(
         maximum=best,
         maximisers=maximisers,

@@ -3,12 +3,14 @@ oracles (kept deliberately naive so they share no logic with the library)."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 from erlab import core
 from erlab.capacity import blowup
+from erlab.oracle import _canonical_graph_code
 from erlab.graphs import SimpleGraph, max_clique
 
 
@@ -81,6 +83,28 @@ def brute_force_count(g: SimpleGraph, k: core.ColourSeq) -> int:
         if not any(all(colouring[i] == c for i in clique) for c, clique in cliques):
             count += 1
     return count
+
+
+@functools.cache
+def unpruned_graph_classes(n: int) -> tuple:
+    """One edge set per isomorphism class of graphs on n vertices, in the
+    order found: level-wise edge additions from the empty graph, every
+    non-edge of every representative tried (no twin pruning), deduplicated
+    by canonical code."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    classes = {_canonical_graph_code(n, frozenset()): frozenset()}
+    frontier = dict(classes)
+    while frontier:
+        nxt = {}
+        for edges in frontier.values():
+            for p in pairs:
+                if p not in edges:
+                    code = _canonical_graph_code(n, edges | {p})
+                    if code not in classes and code not in nxt:
+                        nxt[code] = edges | {p}
+        classes.update(nxt)
+        frontier = nxt
+    return tuple(classes.values())
 
 
 def brute_force_max_clique(g: SimpleGraph) -> int:

@@ -17,6 +17,7 @@ from conftest import (
     random_rational_simplex,
     relabel,
     relabel_colours,
+    unpruned_graph_classes,
 )
 
 from erlab import (
@@ -165,27 +166,6 @@ def test_criterion_4_bruteforce_kernel():
 # -- criterion 5: capacity ----------------------------------------------------
 
 
-def _graph_classes(n):
-    from erlab.oracle import _canonical_graph_code
-
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    classes = {_canonical_graph_code(n, frozenset()): frozenset()}
-    frontier = dict(classes)
-    while frontier:
-        nxt = {}
-        for es in frontier.values():
-            for p in pairs:
-                if p in es:
-                    continue
-                e2 = frozenset(es | {p})
-                code = _canonical_graph_code(n, e2)
-                if code not in classes and code not in nxt:
-                    nxt[code] = e2
-        classes.update(nxt)
-        frontier = nxt
-    return [SimpleGraph(n, es) for es in classes.values()]
-
-
 def _clique_subsets(g):
     """Independent: every vertex subset that is a clique, by direct edge checks."""
     out = []
@@ -212,7 +192,7 @@ def test_criterion_5_capacity():
     checked = 0
     rng = random.Random(606)
     for n in range(2, 7):
-        for g in _graph_classes(n):
+        for g in (SimpleGraph(n, edges) for edges in unpruned_graph_classes(n)):
             cliques = _clique_subsets(g)
             omega = max(len(c) for c in cliques)
             caps = {

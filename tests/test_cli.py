@@ -311,6 +311,48 @@ def test_bad_graph_is_a_usage_error(tmp_path, capsys, graph, argv):
     assert _usage_error(capsys, argv + ["--graph", str(path)])
 
 
+# json reads Infinity as inf, and 1e400 too: int() and Fraction() of it
+# raise OverflowError, which must end as a usage error like NaN does
+@pytest.mark.parametrize(
+    "text", ['{"n": Infinity, "edges": [[1, 2]]}', '{"n": 3, "edges": [[1, 1e400]]}'], ids=["n-infinite", "edge-1e400"]
+)
+@pytest.mark.parametrize(
+    "argv", [["capacity", "--k", "3"], ["oracle", "count", "--k", "3,3"]], ids=["capacity", "oracle-count"]
+)
+def test_non_finite_graph_is_a_usage_error(tmp_path, capsys, text, argv):
+    path = tmp_path / "inf_graph.json"
+    path.write_text(text)
+    assert _usage_error(capsys, argv + ["--graph", str(path)])
+
+
+@pytest.mark.parametrize(
+    "fields",
+    ['"r": 1e400', '"r": 2, "alpha": [Infinity, 0]', '"r": 2, "alpha": ["1/2", -1e400]', '"r": 2, "level": Infinity',
+     '"r": 2, "pairs": [[1, Infinity, [1, 2]]]', '"r": 2, "alpha": [NaN, 1]'],
+    ids=["r-1e400", "alpha-infinite", "alpha-1e400", "level-infinite", "pair-infinite", "alpha-nan"],
+)
+def test_non_finite_pattern_is_a_usage_error(tmp_path, capsys, fields):
+    path = tmp_path / "inf_pattern.json"
+    path.write_text('{"k": [3, 3], ' + fields + "}")
+    for argv in (
+        ["verify", "--pattern"],
+        ["symmetrise", "--input"],
+        ["extension", "--k", "3,3", "--opt"],
+        ["certify", "--k", "3,3", "--construction"],
+        ["oracle", "blowup", "--n", "4", "--input"],
+    ):
+        assert _usage_error(capsys, argv + [str(path)]), argv
+
+
+def test_oracle_extremal_refuses_too_many_colourings(capsys):
+    # seven colours on K_5: 7^10 colourings, the first edge count over the guard
+    code, out = run_cli(capsys, ["oracle", "extremal", "--n", "5", "--k", "3,3,3,3,3,3,3"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["command"] == "error"
+    assert report["results"] == {"error": "TooLarge", "message": "7^10 colourings is beyond the brute-force guard"}
+
+
 def _report_without_timing(capsys, argv, fresh=False):
     if fresh:
         cli.build_parser.cache_clear()

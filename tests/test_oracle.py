@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import brute_force_count
+from conftest import brute_force_count, unpruned_graph_classes
 
 from erlab import constructions, core, oracle
 from erlab.capacity import blowup
@@ -134,21 +134,40 @@ def test_graph_classes_equal_an_unpruned_sweep():
     # every non-edge of every representative tried, with no twin pruning:
     # the same classes with the same edge sets in the same order, the order
     # extremal_search lists its maximisers in
-    for n in range(1, 7):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        classes = {oracle._canonical_graph_code(n, frozenset()): frozenset()}
-        frontier = dict(classes)
-        while frontier:
-            nxt = {}
-            for edges in frontier.values():
-                for p in pairs:
-                    if p not in edges:
-                        code = oracle._canonical_graph_code(n, edges | {p})
-                        if code not in classes and code not in nxt:
-                            nxt[code] = edges | {p}
-            classes.update(nxt)
-            frontier = nxt
-        assert oracle.graph_classes(n) == list(classes.values()), n
+    for n in range(8):
+        assert oracle.graph_classes(n) == list(unpruned_graph_classes(n)), n
+
+
+def test_graph_classes_returns_a_fresh_list():
+    # the sweep is built once per n; no caller can change what the next one gets
+    first = oracle.graph_classes(5)
+    assert len(first) == 34
+    first.clear()
+    oracle.graph_classes(5).append(frozenset())
+    assert oracle.graph_classes(5) == list(unpruned_graph_classes(5))
+
+
+EXTREMAL_CASES = (
+    [(n, k) for n in range(7) for k in ((3, 3), (4, 3), (4, 4), (5, 3))]
+    + [(n, k) for n in range(6) for k in ((3, 3, 3), (4, 3, 3), (3, 3, 3, 3))]
+    + [(7, (4, 4))]
+)
+
+
+@pytest.mark.parametrize("n,entries", EXTREMAL_CASES, ids=[f"n{n}-{','.join(map(str, k))}" for n, k in EXTREMAL_CASES])
+def test_extremal_search_equals_counting_every_class(n, entries):
+    # the densest-first search with its restriction bound against counting
+    # every class of the unpruned sweep, in class order
+    k = core.validate_sequence(list(entries))
+    graphs = [SimpleGraph(n, edges) for edges in unpruned_graph_classes(n)]
+    counts = [oracle.count_valid_colourings(g, k) for g in graphs]
+    best = max(counts)
+    maximisers = [g for g, f in zip(graphs, counts) if f == best]
+    res = oracle.extremal_search(n, k)
+    assert res.maximum == best
+    assert res.maximisers == maximisers
+    assert res.all_complete_multipartite == all(oracle.is_complete_multipartite(g) for g in maximisers)
+    assert res.classes_examined == len(graphs)
 
 
 def test_extremal_search_small_n():
