@@ -249,7 +249,7 @@ class ExtremalResult:
     maximum: int
     maximisers: list  # SimpleGraph representatives, one per iso class
     all_complete_multipartite: bool
-    classes_examined: int  # the classes swept, counted or ruled out
+    classes_examined: int
 
 
 def extremal_search(n: int, k: core.ColourSeq) -> ExtremalResult:
@@ -262,7 +262,8 @@ def extremal_search(n: int, k: core.ColourSeq) -> ExtremalResult:
     the clique number of G, since every valid colouring of G restricts to
     one of a K_w inside it; F(K_w; k) is counted once per w.  Every class
     that attains the maximum is counted, and the maximisers are listed in
-    class order.  The size guard of `count_valid_colourings` is tried on
+    class order; `classes_examined` counts the classes swept, not the
+    classes counted.  The size guard of `count_valid_colourings` is tried on
     each edge count in turn first, so a refusal names the sparsest class
     it refuses, as it would in a sweep in class order.
     """
