@@ -17,7 +17,10 @@ Each checkout runs the same ``er-lab`` commands in-process, from its own
 - ``certify --k`` and ``extension --k`` for the 15 solved families of
   ``tables``, and ``extension --k 4,4,4,4 --opt`` on AG(2,3) minus a line
 - ``certify --constraint``: (3,3,3,3) with its valid ({3,4}, 3) and (5,3)
-  with ({2}, 7), which leaves a GAP; and ``lp --k 3,3,3,3``
+  with ({2}, 7), which leaves a GAP
+- ``lp``: (3,3,3,3) with its built-in constraint, (5,5,4,3,3) bare (five
+  colours, so four-row bases), (4,4,4,4) with four constraints and
+  (4,3,3,3) with every nonempty T of {2,3,4} at cap 4
 - ``symmetrise --input`` on the level-0 patterns of ``SYMMETRISE_INPUTS``:
   exact weights, float weights, a zero-weight vertex and a clone pair
 - the ``oracle count`` and ``oracle extremal`` operations of the
@@ -53,6 +56,11 @@ LP_COMMANDS = [
     ["certify", "--k", "3,3,3,3", "--constraint", "T=3,4:cap=3"],
     ["certify", "--k", "5,3", "--constraint", "T=2:cap=7"],
     ["lp", "--k", "3,3,3,3"],
+    ["lp", "--k", "5,5,4,3,3", "--bare"],
+    ["lp", "--k", "4,4,4,4", "--constraint", "T=3,4:cap=3", "--constraint", "T=2:cap=5",
+     "--constraint", "T=2,3:cap=4", "--constraint", "T=2,3,4:cap=6"],
+    ["lp", "--k", "4,3,3,3"] + [arg for T in ("2", "3", "4", "2,3", "2,4", "3,4", "2,3,4")
+                                for arg in ("--constraint", f"T={T}:cap=4")],
 ]
 # counts beyond the workload's six oracle operations
 ORACLE_EXTREMAL = [["oracle", "extremal", "--n", str(n), "--k", k]

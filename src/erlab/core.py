@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import SimpleGraph, has_clique
+from .graphs import SimpleGraph, has_clique, json_int
 from .logform import LogLinear
 
 
@@ -228,12 +228,16 @@ def attachment_rows(
     colour fails in every completion, and entering a set at vertex j can
     only fail colour c at i by a clique through j: a K_{k_c - 3} in
     nbr[c] & adj_c[i] & adj_c[j].  With weights `alpha`, only rows whose sum
-    of alpha_i log2|cs_i| is within 1e-9 of `target` are kept, and a set is
-    not entered when the rest of the row, each later vertex i credited
-    alpha_i log2 (colours left at i), cannot reach it.  A `budget` (search
-    only: weights with a budget are refused) is charged one node per
-    candidate set, failed ones included, in order, the skipped sets in
-    batches (`budget.spend(n)`); the DFS stops once it refuses.
+    of alpha_i log2|cs_i| is within 1e-9 of `target` are kept.  `subsets`
+    must be ordered by size, as `colour_subsets` gives them, and each node
+    walks its fitting sets in blocks of equal size, testing each block
+    once: it is skipped when the rest of the row, each later vertex i
+    credited alpha_i log2 (colours left at i), cannot reach the target, and
+    the walk stops at the first block that overshoots it by more than 1e-9,
+    since gains only add.  Without weights both tests are inert.  A
+    `budget` (search only: weights with a budget are refused) is charged
+    one node per candidate set, failed ones included, in order, the skipped
+    sets in batches (`budget.spend(n)`); the DFS stops once it refuses.
     """
     if budget is not None and alpha is not None:
         raise ErlabError("attachment_rows takes weights or a budget, not both")
@@ -244,11 +248,12 @@ def attachment_rows(
     free_log = [math.log2(max(s - bin(b).count("1"), 1)) for b in range(2 << s)]
     adj = {c: pattern.colour_graph(c).adjacency_masks() for c in k.colours()}
     tests = [[(adj[c], adj[c][i], k[c] - 2, 1 << c) for c in k.colours()] for i in range(r)]
-    candidates = [
-        (i, cs, math.log2(len(cs)) if cs else 0.0, sum(1 << c for c in cs))
-        for i, cs in enumerate(subsets)
+    # the sets in blocks of equal size (contiguous: subsets are ordered by size)
+    blocks = [
+        (math.log2(size) if size else 0.0, [(i, cs, sum(1 << c for c in cs)) for i, cs in group])
+        for size, group in itertools.groupby(enumerate(subsets), key=lambda ics: len(ics[1]))
     ]
-    fitting: dict[int, list] = {}  # banned colour mask -> the sets that avoid it
+    fitting: dict[int, list] = {}  # banned colour mask -> the blocks of sets that avoid it
     total = len(subsets)
     nbr = [0] * (s + 1)
     row: list[frozenset] = []
@@ -264,32 +269,37 @@ def attachment_rows(
         rest = 0.0 if alpha is None else sum(w * free_log[b] for w, b in zip(weights[j + 1 :], known[1:]))
         walk = fitting.get(banned)
         if walk is None:
-            walk = fitting[banned] = [(i, cs, log) for i, cs, log, mask in candidates if not mask & banned]
+            walk = fitting[banned] = [
+                (log, fit) for log, block in blocks if (fit := [(i, cs) for i, cs, mask in block if not mask & banned])
+            ]
         bit = 1 << j
         charged = 0
-        for i, cs, log in walk:
-            if budget is not None and not budget.spend(i + 1 - charged):
-                return
-            charged = i + 1
+        for log, block in walk:
             gain = weights[j] * log
+            if ext + gain - target > tol:  # overshoots, and gains only add
+                break
             if ext + gain + rest < target - tol:
                 continue
-            for c in cs:
-                nbr[c] |= bit
-            row.append(cs)
-            later = []
-            for v, b in enumerate(known[1:], j + 1):
+            for i, cs in block:
+                if budget is not None and not budget.spend(i + 1 - charged):
+                    return
+                charged = i + 1
                 for c in cs:
-                    adj_c, adj_cv, need, cbit = tests[v][c - 1]  # colours are 1..s
-                    if adj_cv & bit and not b & cbit:
-                        m = nbr[c] & adj_cv & adj_c[j]
-                        if need == 1 or m and (need == 2 or has_clique(adj_c, need - 1, m) is not None):
-                            b |= cbit
-                later.append(b)
-            dfs(j + 1, ext + gain, later)
-            row.pop()
-            for c in cs:
-                nbr[c] &= ~bit
+                    nbr[c] |= bit
+                row.append(cs)
+                later = []
+                for v, b in enumerate(known[1:], j + 1):
+                    for c in cs:
+                        adj_c, adj_cv, need, cbit = tests[v][c - 1]  # colours are 1..s
+                        if adj_cv & bit and not b & cbit:
+                            m = nbr[c] & adj_cv & adj_c[j]
+                            if need == 1 or m and (need == 2 or has_clique(adj_c, need - 1, m) is not None):
+                                b |= cbit
+                    later.append(b)
+                dfs(j + 1, ext + gain, later)
+                row.pop()
+                for c in cs:
+                    nbr[c] &= ~bit
         if budget is not None and charged < total:
             budget.spend(total - charged)
 
@@ -450,15 +460,15 @@ def triple_to_json(triple: FeasibleTriple, k: ColourSeq) -> dict:
 def triple_from_json(obj: dict) -> tuple:
     """Returns (FeasibleTriple, ColourSeq)."""
     k = validate_sequence(obj["k"])
-    r = int(obj["r"])
+    r = json_int(obj["r"])
     assignment = {}
     for i, j, colours in obj.get("pairs", []):
-        assignment[(int(i) - 1, int(j) - 1)] = validate_colour_set(colours, k.s)
+        assignment[(json_int(i) - 1, json_int(j) - 1)] = validate_colour_set(map(json_int, colours), k.s)
     pattern = ColourPattern(r, assignment)
     alpha_raw = obj.get("alpha")
     if alpha_raw is None:
         alpha = tuple(Fraction(1, r) for _ in range(r))
     else:
         alpha = tuple(Fraction(a) for a in alpha_raw)
-    level = int(obj.get("level", 0))
+    level = json_int(obj.get("level", 0))
     return FeasibleTriple(pattern, alpha, level), k

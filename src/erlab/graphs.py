@@ -245,7 +245,14 @@ def graph_to_json(g: SimpleGraph) -> dict:
     return {"n": g.n, "edges": sorted([u + 1, v + 1] for u, v in g.edges)}
 
 
+def json_int(value) -> int:
+    """A JSON integer as `json` reads it: an int, never a bool, float or string."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 def graph_from_json(obj: dict) -> SimpleGraph:
-    n = int(obj["n"])
-    edges = frozenset((int(u) - 1, int(v) - 1) for u, v in obj.get("edges", []))
+    n = json_int(obj["n"])
+    edges = frozenset((json_int(u) - 1, json_int(v) - 1) for u, v in obj.get("edges", []))
     return SimpleGraph(n, edges)

@@ -9,12 +9,16 @@ the relaxation may add constraints of the form
 which are valid whenever, on every feasible triple with positive weights, the
 pairs whose multiplicity lies in T span a K_{k'}-free graph.  The polytope is
 bounded, so the optimum is attained at a vertex and the whole problem is
-solved exactly by rational vertex enumeration.
+solved exactly by vertex enumeration: each choice of s - 1 of its integer
+rows is solved by fraction-free (Bareiss) elimination into integers N / D,
+tested against every row in integers, and only the vertices kept become
+Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,40 +67,42 @@ class LPSolution:
     vertex_count: int
 
 
-def _solve_square(rows, rhs):
-    """Exact Gaussian elimination; returns the solution or None if singular."""
+def _bareiss(rows):
+    """Solve a square integer system of (coefficients, rhs) rows by fraction-free
+    Gauss-Jordan elimination, every division exact; returns the solution as
+    (D, N), meaning N / D with D > 0 in lowest terms, or None if singular."""
     m = len(rows)
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    a = [[*coeffs, b] for coeffs, b in rows]
+    prev = 1
     for col in range(m):
-        piv = next((i for i in range(col, m) if a[i][col] != 0), None)
+        piv = next((i for i in range(col, m) if a[i][col]), None)
         if piv is None:
             return None
         a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
+        p, pc = a[col], a[col][col]
         for i in range(m):
-            if i != col and a[i][col] != 0:
+            if i != col:
                 f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [a[i][m] for i in range(m)]
+                a[i] = [(pc * x - f * y) // prev for x, y in zip(a[i], p)]
+        prev = pc
+    g = math.gcd(prev, *(row[m] for row in a)) * (1 if prev > 0 else -1)
+    return prev // g, tuple(row[m] // g for row in a)
 
 
 def _inequalities(instance: LPInstance):
-    """All constraints as (coefficient tuple, rhs) meaning a . d <= b."""
-    s = instance.k.s
-    m = s - 1
+    """All constraints as integer rows (coefficient tuple, rhs) meaning
+    a . d <= b: the budget scaled by its denominator, each constraint as
+    (k' - 1) [t in T] <= k' - 2."""
+    ts = range(2, instance.k.s + 1)
     rows = []
-    for t in range(2, s + 1):
-        e = tuple(Fraction(1) if u == t else Fraction(0) for u in range(2, s + 1))
-        rows.append((e, Fraction(1)))
-        rows.append((tuple(-x for x in e), Fraction(0)))
-    rows.append((tuple(Fraction(t) for t in range(2, s + 1)), instance.budget))
+    for t in ts:
+        e = tuple(int(u == t) for u in ts)
+        rows += [(e, 1), (tuple(-x for x in e), 0)]
+    budget = instance.budget
+    rows.append((tuple(budget.denominator * t for t in ts), budget.numerator))
     for con in instance.constraints:
-        ind = tuple(
-            Fraction(1) if t in con.T else Fraction(0) for t in range(2, s + 1)
-        )
-        rows.append((ind, con.cap))
-    return rows, m
+        rows.append((tuple((con.kprime - 1) * (t in con.T) for t in ts), con.kprime - 2))
+    return rows, len(ts)
 
 
 def enumerate_vertices(instance: LPInstance) -> list:
@@ -104,16 +110,14 @@ def enumerate_vertices(instance: LPInstance) -> list:
     rows, m = _inequalities(instance)
     seen = set()
     out = []
-    for combo in itertools.combinations(range(len(rows)), m):
-        sol = _solve_square([rows[i][0] for i in combo], [rows[i][1] for i in combo])
-        if sol is None:
+    for combo in itertools.combinations(rows, m):
+        sol = _bareiss(combo)
+        if sol is None or sol in seen:
             continue
-        point = tuple(sol)
-        if point in seen:
-            continue
-        if all(sum(a * x for a, x in zip(coeffs, point)) <= b for coeffs, b in rows):
-            seen.add(point)
-            out.append(point)
+        D, N = sol
+        if all(sum(a * x for a, x in zip(coeffs, N)) <= b * D for coeffs, b in rows):
+            seen.add(sol)
+            out.append(tuple(Fraction(x, D) for x in N))
     return sorted(out)
 
 
@@ -129,10 +133,7 @@ def solve_L(instance: LPInstance) -> LPSolution:
     if not vertices:
         raise core.ErlabError("empty feasible region")
     values = [_objective(v) for v in vertices]
-    best = values[0]
-    for v in values[1:]:
-        if best < v:
-            best = v
+    best = max(values)  # the first of the largest, by exact order
     optimal = [v for v, val in zip(vertices, values) if val == best]
     return LPSolution(
         d=optimal[0],

@@ -12,6 +12,7 @@ from erlab import core
 from erlab.capacity import blowup
 from erlab.oracle import _canonical_graph_code
 from erlab.graphs import SimpleGraph, max_clique
+from erlab.logform import LogLinear
 
 
 def relabel(pattern, perm):
@@ -125,3 +126,48 @@ def capacity_member_bruteforce(g: SimpleGraph, k: int, vec) -> bool:
 def ext_value(profile, weighting) -> float:
     """The attachment's contribution sum alpha_i log2|cs_i|, summed directly."""
     return sum(float(weighting[i]) * math.log2(len(cs)) for i, cs in enumerate(profile) if cs)
+
+
+def fraction_vertices(instance) -> list:
+    """Reference: the LP's vertices by Gaussian elimination in Fractions over
+    every choice of s - 1 of its rows (box, budget and constraint rows, each
+    with its rational right-hand side), kept when they satisfy every row."""
+    ts = range(2, instance.k.s + 1)
+    rows = []
+    for t in ts:
+        e = tuple(Fraction(int(u == t)) for u in ts)
+        rows += [(e, Fraction(1)), (tuple(-x for x in e), Fraction(0))]
+    rows.append((tuple(Fraction(t) for t in ts), instance.budget))
+    rows += [(tuple(Fraction(int(t in con.T)) for t in ts), con.cap) for con in instance.constraints]
+    m = len(ts)
+    out = set()
+    for combo in itertools.combinations(rows, m):
+        a = [list(coeffs) + [b] for coeffs, b in combo]
+        for col in range(m):
+            piv = next((i for i in range(col, m) if a[i][col] != 0), None)
+            if piv is None:
+                break
+            a[col], a[piv] = a[piv], a[col]
+            a[col] = [x / a[col][col] for x in a[col]]
+            for i in range(m):
+                if i != col and a[i][col] != 0:
+                    f = a[i][col]
+                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+        else:
+            point = tuple(a[i][m] for i in range(m))
+            if all(sum(c * x for c, x in zip(coeffs, point)) <= b for coeffs, b in rows):
+                out.add(point)
+    return sorted(out)
+
+
+def fraction_solve(instance):
+    """Reference: (vertices, optimal d, unique, vertex count) from
+    `fraction_vertices`, the first optimal vertex in sorted order as d."""
+    vertices = fraction_vertices(instance)
+    values = [sum((LogLinear.log2(t, dt) for t, dt in enumerate(v, start=2)), LogLinear()) for v in vertices]
+    best = values[0]
+    for v in values[1:]:
+        if best < v:
+            best = v
+    optimal = [v for v, val in zip(vertices, values) if val == best]
+    return vertices, optimal[0], len(optimal) == 1, len(vertices)

@@ -255,8 +255,11 @@ def test_pattern_without_k_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "fields",
-    [{"pairs": [[1, 2]]}, {"r": "two"}, {"alpha": ["x", "y"]}, {"pairs": 5}],
-    ids=["pair-without-colours", "r-not-an-integer", "alpha-not-a-number", "pairs-not-a-list"],
+    [{"pairs": [[1, 2]]}, {"r": "two"}, {"alpha": ["x", "y"]}, {"pairs": 5},
+     {"r": 2.9, "pairs": [[1, 2.5, [1, 2]]], "level": 0.7}, {"level": 0.7}, {"pairs": [[True, 2, [1, 2]]]},
+     {"pairs": [[1, 2, [1.5, 2]]]}],
+    ids=["pair-without-colours", "r-not-an-integer", "alpha-not-a-number", "pairs-not-a-list", "fractional",
+         "level-fractional", "pair-index-true", "colour-fractional"],
 )
 def test_malformed_pattern_is_a_usage_error(tmp_path, capsys, fields):
     path = tmp_path / "bad_pattern.json"
@@ -300,7 +303,10 @@ def test_report_has_no_threads_key(capsys):
 
 
 @pytest.mark.parametrize(
-    "graph", [{"edges": [[1, 2]]}, {"n": 2, "edges": [[1, 5]]}], ids=["no-n", "edge-outside"]
+    "graph",
+    [{"edges": [[1, 2]]}, {"n": 2, "edges": [[1, 5]]}, {"n": 3.9, "edges": [[1, 2.7], [True, 3]]},
+     {"n": 3, "edges": [[True, 3]]}, {"n": "3", "edges": []}],
+    ids=["no-n", "edge-outside", "fractional", "edge-end-true", "n-a-string"],
 )
 @pytest.mark.parametrize(
     "argv", [["capacity", "--k", "3"], ["oracle", "count", "--k", "3,3"]], ids=["capacity", "oracle-count"]

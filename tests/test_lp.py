@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import fraction_solve
 from erlab import constructions, core, lp
 from erlab.logform import LogLinear
 
@@ -56,6 +58,37 @@ def test_lp_value_dominates_random_feasible_points():
 
             val = sum(x * math.log2(t + 2) for t, x in enumerate(d))
             assert val <= opt + 1e-9
+
+
+def assert_matches_fraction_reference(instance):
+    vertices, d, unique, count = fraction_solve(instance)
+    assert lp.enumerate_vertices(instance) == vertices, instance
+    sol = lp.solve_L(instance)
+    assert (sol.d, sol.unique, sol.vertex_count) == (d, unique, count), instance
+
+
+def test_integer_vertices_match_the_fraction_reference_on_random_instances():
+    rng = random.Random(23)
+    for _ in range(600):
+        s = rng.randint(2, 5)
+        k = core.validate_sequence([rng.randint(3, 7) for _ in range(s)])
+        ts = range(2, s + 1)
+        constraints = tuple(
+            lp.Constraint(frozenset(rng.sample(ts, rng.randint(1, s - 1))), rng.randint(3, 8))
+            for _ in range(rng.randint(0, 3))
+        )
+        assert_matches_fraction_reference(lp.LPInstance(k, constraints))
+
+
+def test_integer_vertices_match_the_fraction_reference_under_every_multiplicity_set():
+    # every nonempty T of {2..s} as a constraint at once, the family a
+    # derived constraint set would give, at several caps
+    for entries in [(4, 4, 4, 4), (4, 3, 3, 3)]:
+        k = core.validate_sequence(entries)
+        sets = [frozenset(T) for size in range(1, k.s) for T in itertools.combinations(range(2, k.s + 1), size)]
+        for caps in [(3,) * len(sets), (4,) * len(sets), tuple(3 + i % 4 for i in range(len(sets)))]:
+            constraints = tuple(lp.Constraint(T, cap) for T, cap in zip(sets, caps))
+            assert_matches_fraction_reference(lp.LPInstance(k, constraints))
 
 
 def test_constraint_validation_rules():

@@ -324,6 +324,32 @@ def test_weighted_attachment_rows_meet_every_reachable_target():
     assert tried > 300
 
 
+def test_weighted_attachment_rows_at_stationary_weights_match_brute_force():
+    # random patterns on r <= 4 vertices, s <= 3, at their optimal weighting
+    # (stationary: every vertex contributes q), against q as the target; they
+    # are not optimal for k, so feasible rows overshoot q and the walk stops
+    # at the first block of colour sets that does
+    rng = random.Random(29)
+    cases = uneven = overshoot = 0
+    for entries in [(4, 4), (5, 3), (4, 4, 3), (5, 4, 3), (3, 3, 3)]:
+        k = core.validate_sequence(entries)
+        subsets = core.colour_subsets(k.s, 0)
+        for r in (3, 4):
+            for _ in range(10):
+                pattern = random_pattern(rng, r, k, level=1)
+                opt = pattern and weights.optimize_weights(pattern, k)
+                if not opt or len(opt.support) < r:
+                    continue
+                alpha, q = opt.weighting, opt.value.numeric_value
+                feasible = brute_force_rows(pattern, k, subsets)
+                expected = [row for row in feasible if abs(ext_value(row, alpha) - q) <= 1e-9]
+                assert core.attachment_rows(pattern, k, subsets, alpha=alpha, target=q) == expected, (k, pattern)
+                cases += 1
+                uneven += len(set(alpha)) > 1
+                overshoot += any(ext_value(row, alpha) > q + 1e-9 for row in feasible)
+    assert cases >= 15 and uneven >= 5 and overshoot >= 10
+
+
 def test_full_affine_plane_rows_match_the_per_candidate_kernel():
     # the (4,4,4,4) optimum AG(2,3): the look-ahead bound against the static one
     t = constructions.affine_plane_triple()
