@@ -9,10 +9,9 @@ the relaxation may add constraints of the form
 which are valid whenever, on every feasible triple with positive weights, the
 pairs whose multiplicity lies in T span a K_{k'}-free graph.  The polytope is
 bounded, so the optimum is attained at a vertex and the whole problem is
-solved exactly by vertex enumeration: each choice of s - 1 of its integer
-rows is solved by fraction-free (Bareiss) elimination into integers N / D,
-tested against every row in integers, and only the vertices kept become
-Fractions.
+solved exactly by vertex enumeration: each basis of s - 1 integer rows is
+solved by fraction-free (Bareiss) elimination into N / D and tested against
+every row in integers; only the vertices kept become Fractions.
 """
 
 from __future__ import annotations
