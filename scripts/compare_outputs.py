@@ -17,7 +17,9 @@ Each checkout runs the same ``er-lab`` commands in-process, from its own
 - ``certify --k`` and ``extension --k`` for the 15 solved families of
   ``tables``, and ``extension --k 4,4,4,4 --opt`` on AG(2,3) minus a line
 - ``certify --constraint``: (3,3,3,3) with its valid ({3,4}, 3) and (5,3)
-  with ({2}, 7), which leaves a GAP
+  with ({2}, 7), which leaves a GAP; and valid constraints that are not
+  built in, whose scans reach levels past 3: (6,5) with ({2}, 6),
+  (3,3,3,3) with ({3,4}, 3) and ({4}, 3), and (4,4,4) with ({3}, 4)
 - ``lp``: (3,3,3,3) with its built-in constraint, (5,5,4,3,3) bare (five
   colours, so four-row bases), (4,4,4,4) with four constraints and
   (4,3,3,3) with every nonempty T of {2,3,4} at cap 4
@@ -55,6 +57,9 @@ SEED = 11
 LP_COMMANDS = [
     ["certify", "--k", "3,3,3,3", "--constraint", "T=3,4:cap=3"],
     ["certify", "--k", "5,3", "--constraint", "T=2:cap=7"],
+    ["certify", "--k", "6,5", "--constraint", "T=2:cap=6"],
+    ["certify", "--k", "3,3,3,3", "--constraint", "T=3,4:cap=3", "--constraint", "T=4:cap=3"],
+    ["certify", "--k", "4,4,4", "--constraint", "T=3:cap=4"],
     ["lp", "--k", "3,3,3,3"],
     ["lp", "--k", "5,5,4,3,3", "--bare"],
     ["lp", "--k", "4,4,4,4", "--constraint", "T=3,4:cap=3", "--constraint", "T=2:cap=5",

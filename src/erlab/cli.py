@@ -86,11 +86,7 @@ def render_form(form: LogLinear) -> dict:
     }
 
 
-def render_number(x) -> dict:
-    if isinstance(x, LogLinear):
-        return render_form(x)
-    if isinstance(x, Fraction):
-        return {"symbolic": str(x), "decimal": f"{float(x):.15f}", "exact": True}
+def render_number(x: float) -> dict:
     return {"decimal": f"{float(x):.15f}", "exact": False}
 
 
@@ -112,6 +108,17 @@ def _frac_str(f) -> str:
 
 def _constraint_json(con: lp.Constraint) -> dict:
     return {"T": sorted(con.T), "kprime": con.kprime, "cap": _frac_str(con.cap)}
+
+
+def _certificate_json(cert: lp.Certificate) -> dict:
+    """The fields that `certify` and each `tables` row report alike."""
+    return {
+        "k": list(cert.instance.k.entries),
+        "verdict": cert.verdict,
+        "constraints": [_constraint_json(c) for c in cert.instance.constraints],
+        "lp_d": [_frac_str(x) for x in cert.lp.d],
+        "lp_unique": cert.lp.unique,
+    }
 
 
 # --------------------------------------------------------------------------
@@ -226,15 +233,7 @@ def _cmd_certify(args) -> tuple:
     else:
         instance = None
     cert = lp.sandwich_certificate(k, construction, instance)
-    cert_json = {
-        "k": list(k.entries),
-        "lower": render_form(cert.lower),
-        "upper": render_form(cert.upper),
-        "verdict": cert.verdict,
-        "constraints": [_constraint_json(c) for c in cert.instance.constraints],
-        "lp_d": [_frac_str(x) for x in cert.lp.d],
-        "lp_unique": cert.lp.unique,
-    }
+    cert_json = {**_certificate_json(cert), "lower": render_form(cert.lower), "upper": render_form(cert.upper)}
     results = {"verdict": cert.verdict, "value": render_form(cert.lower)}
     return (
         _report("certify", {"k": list(k.entries)}, results, certificates=[cert_json]),
@@ -315,15 +314,7 @@ def table_rows():
         construction = constructions.known_optimum(k)
         cert = lp.sandwich_certificate(k, construction)
         rows.append(
-            {
-                "k": list(k.entries),
-                "value": render_form(cert.lower),
-                "verdict": cert.verdict,
-                "constraints": [_constraint_json(c) for c in cert.instance.constraints],
-                "lp_d": [_frac_str(x) for x in cert.lp.d],
-                "lp_unique": cert.lp.unique,
-                "construction_r": construction.pattern.r,
-            }
+            {**_certificate_json(cert), "value": render_form(cert.lower), "construction_r": construction.pattern.r}
         )
     return rows
 

@@ -7,15 +7,17 @@ the relaxation may add constraints of the form
     sum over t in T of d_t  <=  1 - 1/(k' - 1)
 
 which are valid whenever, on every feasible triple with positive weights, the
-pairs whose multiplicity lies in T span a K_{k'}-free graph.  The polytope is
-bounded, so the optimum is attained at a vertex and the whole problem is
-solved exactly by vertex enumeration: each basis of s - 1 integer rows is
-solved by fraction-free (Bareiss) elimination into N / D and tested against
-every row in integers; only the vertices kept become Fractions.
+pairs whose multiplicity lies in T span a K_{k'}-free graph, as a certificate
+proves on level k' (`constraint_validity_scan`) for T within {2..s}.  The
+polytope is bounded, so the optimum is attained at a vertex and the whole
+problem is solved exactly by vertex enumeration: each basis of s - 1 integer
+rows is solved by fraction-free (Bareiss) elimination into N / D and tested
+against every row in integers; only the vertices kept become Fractions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,6 +54,11 @@ class Constraint:
 class LPInstance:
     k: core.ColourSeq
     constraints: tuple = ()
+
+    def __post_init__(self):
+        for con in self.constraints:
+            if max(con.T) > self.k.s:
+                raise InvalidConstraint(f"T={sorted(con.T)} is vacuous: pairs carry at most s={self.k.s} colours")
 
     @property
     def budget(self) -> Fraction:
@@ -142,39 +149,31 @@ def solve_L(instance: LPInstance) -> LPSolution:
     )
 
 
-def multiplicity_graph(pattern: core.ColourPattern, T) -> SimpleGraph:
-    """H(T): the pairs whose multiplicity lies in T."""
-    edges = frozenset(p for p, cs in pattern.assignment.items() if len(cs) in T)
-    return SimpleGraph(pattern.r, edges)
-
-
-def constraint_validity_scan(con: Constraint, k: core.ColourSeq, r_max: int):
-    """Search level-2 patterns up to r_max for a K_{k'} in H(T).
-
-    Returns (valid_so_far, counterexample pattern or None, exhaustive flag);
-    the counterexample is the least by canonical code on the first level
-    that has one.  The levels share a budget of 10**7 DFS nodes.  The scan
-    refutes invalid constraints; it cannot prove validity beyond the range
-    searched.
+@functools.cache
+def constraint_validity_scan(con: Constraint, k: core.ColourSeq):
+    """Decide the constraint on level k' alone: if H(T), the graph of the
+    pairs whose multiplicity lies in T, holds a K_{k'} in a feasible triple,
+    the sub-pattern on that clique is a level-2 pattern on k' vertices with
+    a complete H(T), as feasibility is hereditary.  Builds
+    `search.pattern_levels` up to level k' under a 10**7-node budget and
+    returns (valid, counterexample or None, decided): the least such class
+    by canonical code, and False when the budget cut the scan short.
     """
-    if r_max < 2:
-        raise core.ErlabError(f"r_max={r_max}: the scan needs r_max >= 2")
     tracker = search._Budget(10**7)
-    exhaustive = True
-    for _, (level, completed) in zip(range(2, r_max + 1), search.pattern_levels(k, tracker)):
-        exhaustive = exhaustive and completed
-        for _, pattern in sorted(level.items()):
-            h = multiplicity_graph(pattern, con.T)
-            if has_clique(h.adjacency_masks(), con.kprime) is not None:
-                return False, pattern, exhaustive
-        if not completed:
-            break
-    return True, None, exhaustive
+    for r, (level, completed) in enumerate(search.pattern_levels(k, tracker), start=2):
+        if r == con.kprime:
+            for _, pattern in sorted(level.items()):
+                h = SimpleGraph(r, frozenset(p for p, cs in pattern.assignment.items() if len(cs) in con.T))
+                if has_clique(h.adjacency_masks(), con.kprime) is not None:
+                    return False, pattern, completed
+            return completed, None, completed
+    return False, None, False  # a level below k' was cut short
 
 
 def recommended_constraints(k: core.ColourSeq) -> tuple:
-    """The extra valid constraints needed to make the relaxation tight for
-    the solved cases.
+    """The extra constraints needed to make the relaxation tight for the
+    solved cases.  `sandwich_certificate` proves each one at run time by its
+    level-k' scan; the arguments below only explain the choice.
 
     Two colours with k_1 > k_2: pairs of multiplicity 2 lie inside the
     colour-2 graph, so ({2}, k_2) is valid.  Four triangle-forbidding
@@ -194,7 +193,6 @@ class Certificate:
     lower: LogLinear  # q of the explicit construction
     upper: LogLinear  # LP optimum
     verdict: str  # "EXACT" | "GAP"
-    gap: float
     lp: LPSolution
     instance: LPInstance
 
@@ -207,9 +205,11 @@ def sandwich_certificate(
     """Pin the optimum between a construction and the relaxation.
 
     EXACT means the two exact log-linear forms coincide, so the construction
-    value is the optimum.  A constraint that the construction breaks is
-    refuted by it (the construction is a feasible triple), so it raises
-    InvalidConstraint: the LP value would be no upper bound.
+    value is the optimum.  Each constraint, the built-in ones included, must
+    be proved by `constraint_validity_scan`, or InvalidConstraint is raised:
+    the LP value would be no upper bound.  A construction whose mass on T
+    exceeds the cap holds a K_{k'} in H(T) (Motzkin-Straus), so the scan
+    refutes every constraint that the construction breaks.
     """
     if instance is None:
         instance = LPInstance(k, recommended_constraints(k))
@@ -218,25 +218,20 @@ def sandwich_certificate(
         raise core.ErlabError(f"construction infeasible: {witness}")
     if not core.weighting_is_exact(construction.weighting):
         raise core.ErlabError("certificate needs an exact rational weighting")
-    breakdown = core.q_value(construction)
-    lower = breakdown.log_form
     for con in instance.constraints:
-        mass = sum(
-            (breakdown.d[t - 1] for t in con.T if t - 1 < len(breakdown.d)),
-            Fraction(0),
-        )
-        if mass > con.cap:
-            raise InvalidConstraint(
-                f"constraint T={sorted(con.T)}, k'={con.kprime} is broken by the construction "
-                f"(mass {mass} > cap {con.cap}), so it is not valid"
-            )
+        valid, counter, _ = constraint_validity_scan(con, k)
+        name = f"constraint T={sorted(con.T)}, k'={con.kprime}"
+        if counter is not None:
+            pairs = [[i + 1, j + 1, sorted(cs)] for (i, j), cs in sorted(counter.assignment.items())]
+            raise InvalidConstraint(f"{name} is refuted: H(T) is complete on the level-2 pattern with pairs {pairs}")
+        if not valid:
+            raise InvalidConstraint(f"{name} is not proved: the scan's budget ran out before level {con.kprime}")
+    lower = core.q_value(construction).log_form
     sol = solve_L(instance)
-    exact = lower == sol.value
     return Certificate(
         lower=lower,
         upper=sol.value,
-        verdict="EXACT" if exact else "GAP",
-        gap=0.0 if exact else float(sol.value) - float(lower),
+        verdict="EXACT" if lower == sol.value else "GAP",
         lp=sol,
         instance=instance,
     )

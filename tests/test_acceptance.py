@@ -75,9 +75,7 @@ def test_criterion_1_table_certificates():
                 con.T == frozenset({3, 4}) and con.kprime == 3
                 for con in cert.instance.constraints
             )
-            valid, counter, _ = lp.constraint_validity_scan(
-                lp.Constraint(frozenset({3, 4}), 3), k, 4
-            )
+            valid, counter, _ = lp.constraint_validity_scan(lp.Constraint(frozenset({3, 4}), 3), k)
             assert valid and counter is None
     print(
         f"\n[criterion 1] PASS: {len(expected)} sandwich certificates EXACT "

@@ -114,6 +114,36 @@ def test_certify_with_a_constraint_the_construction_breaks_is_an_error(capsys):
     assert report["results"]["error"] == "InvalidConstraint"
 
 
+def _error(capsys, argv) -> str:
+    code, out = run_cli(capsys, argv)
+    report = json.loads(out)
+    assert code == 1 and report["command"] == "error"
+    assert report["results"]["error"] == "InvalidConstraint"
+    return report["results"]["message"]
+
+
+def test_certify_refuses_a_constraint_the_scan_refutes(tmp_path, capsys):
+    # a 5-vertex level-2 pattern whose pairs all carry two colours refutes
+    # ({2,3}, 5) for (5,5,5), though the built-in construction keeps it
+    message = _error(capsys, ["certify", "--k", "5,5,5", "--constraint", "T=2,3:cap=5"])
+    assert "T=[2, 3], k'=5 is refuted" in message
+    # the q2 optimum of (5,5,3) on four vertices keeps ({2}, 3), which three
+    # vertices with colours {1,2} on every pair refute
+    code, out = run_cli(capsys, ["q2", "--k", "5,5,3", "--rmax", "4"])
+    path = tmp_path / "opt.json"
+    path.write_text(json.dumps(json.loads(out)["results"]["optima"][0]))
+    argv = ["certify", "--k", "5,5,3", "--construction", str(path),
+            "--constraint", "T=2:cap=3", "--constraint", "T=3:cap=3"]
+    message = _error(capsys, argv)
+    assert "T=[2], k'=3 is refuted" in message and "[1, 2, [1, 2]]" in message
+
+
+def test_vacuous_constraint_is_an_error(capsys):
+    for argv in (["lp", "--k", "3,3", "--constraint", "T=5:cap=3"],
+                 ["certify", "--k", "4,3", "--constraint", "T=9:cap=3"]):
+        assert "vacuous" in _error(capsys, argv)
+
+
 def test_oracle_commands(tmp_path, capsys):
     path = tmp_path / "k33.json"
     path.write_text(json.dumps(graph_to_json(turan_graph(2, 6))))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import fraction_solve
-from erlab import constructions, core, lp
+from erlab import constructions, core, lp, search
 from erlab.logform import LogLinear
 
 
@@ -98,51 +98,102 @@ def test_constraint_validation_rules():
         lp.Constraint(frozenset({2}), 2)
     con = lp.Constraint(frozenset({3, 4}), 3)
     assert con.cap == Fraction(1, 2)
+    # no pair carries more than s colours, so T beyond s is vacuous
+    lp.LPInstance(core.validate_sequence([3, 3, 3, 3]), (con,))
+    with pytest.raises(lp.InvalidConstraint, match="vacuous"):
+        lp.LPInstance(core.validate_sequence([3, 3, 3]), (con,))
 
 
 def test_constraint_validity_scan():
     k = core.validate_sequence([3, 3, 3, 3])
     good = lp.Constraint(frozenset({3, 4}), 3)
-    valid, counter, exhaustive = lp.constraint_validity_scan(good, k, 4)
-    assert valid and counter is None and exhaustive
+    valid, counter, decided = lp.constraint_validity_scan(good, k)
+    assert valid and counter is None and decided
     # claiming the multiplicity-2 pairs are K_3-free is false already at r=3
     bad = lp.Constraint(frozenset({2, 3, 4}), 3)
-    valid, counter, _ = lp.constraint_validity_scan(bad, k, 4)
+    valid, counter, _ = lp.constraint_validity_scan(bad, k)
     assert not valid and counter is not None
 
 
 def test_constraint_validity_scan_counterexamples_are_pinned():
     # recorded when every r re-enumerated its levels from scratch; the scan
     # now walks each level once and must find the same first counterexample
-    for entries, T, kprime, r_max, pairs in [
-        ((3, 3, 3, 3), {2, 3, 4}, 3, 4, {(0, 1): {1, 2}, (0, 2): {1, 2}, (1, 2): {3, 4}}),
-        ((4, 4, 4), {2}, 3, 5, {(0, 1): {1, 2}, (0, 2): {1, 2}, (1, 2): {1, 2}}),
-        ((3, 3, 3), {2, 3}, 3, 6, {(0, 1): {1, 2}, (0, 2): {1, 3}, (1, 2): {2, 3}}),
-        ((5, 4, 3), {2, 3}, 4, 4, {
+    for entries, T, kprime, pairs in [
+        ((3, 3, 3, 3), {2, 3, 4}, 3, {(0, 1): {1, 2}, (0, 2): {1, 2}, (1, 2): {3, 4}}),
+        ((4, 4, 4), {2}, 3, {(0, 1): {1, 2}, (0, 2): {1, 2}, (1, 2): {1, 2}}),
+        ((3, 3, 3), {2, 3}, 3, {(0, 1): {1, 2}, (0, 2): {1, 3}, (1, 2): {2, 3}}),
+        ((5, 4, 3), {2, 3}, 4, {
             (0, 1): {1, 2}, (0, 2): {1, 2}, (1, 2): {1, 2},
             (0, 3): {1, 2}, (1, 3): {1, 2}, (2, 3): {1, 3},
         }),
     ]:
         k = core.validate_sequence(entries)
         con = lp.Constraint(frozenset(T), kprime)
-        valid, counter, exhaustive = lp.constraint_validity_scan(con, k, r_max)
-        assert not valid and exhaustive
+        valid, counter, decided = lp.constraint_validity_scan(con, k)
+        assert not valid and decided
         expected = core.ColourPattern(max(max(p) for p in pairs) + 1, pairs)
         assert list(counter.assignment.items()) == list(expected.assignment.items())
     for entries, T, kprime in [((4, 3), {2}, 3), ((4, 4, 3), {3}, 3)]:
         k = core.validate_sequence(entries)
         con = lp.Constraint(frozenset(T), kprime)
-        assert lp.constraint_validity_scan(con, k, 5) == (True, None, True)
+        assert lp.constraint_validity_scan(con, k) == (True, None, True)
 
 
-def test_constraint_validity_scan_rejects_an_empty_range():
-    # no level below 2 exists, so r_max < 2 is an error, as in solve_Q2,
-    # never a scan that is "valid" and "exhaustive" over nothing
-    k = core.validate_sequence([3, 3, 3, 3])
-    con = lp.Constraint(frozenset({2}), 4)
-    for r_max in (1, 0, -3):
-        with pytest.raises(core.ErlabError, match="r_max >= 2"):
-            lp.constraint_validity_scan(con, k, r_max)
+TABLE_FAMILIES = (
+    [(a, b) for a in range(3, 7) for b in range(3, a + 1)]
+    + [(a, a, a) for a in range(3, 6)]
+    + [(3, 3, 3, 3), (4, 4, 4, 4)]
+)
+
+
+def test_built_in_constraints_of_the_table_families_are_proved():
+    proved = 0
+    for entries in TABLE_FAMILIES:
+        k = core.validate_sequence(entries)
+        for con in lp.recommended_constraints(k):
+            assert lp.constraint_validity_scan(con, k) == (True, None, True), (entries, con)
+            proved += 1
+    assert proved == 7
+
+
+def test_the_scan_refutes_every_constraint_a_construction_breaks():
+    # a triple whose mass on T exceeds 1 - 1/(k'-1) holds a K_{k'} in H(T)
+    # (Motzkin-Straus), so the scan refutes it on level k'; (4,4,4,4) is
+    # checked at k' = 3 only, as building its level 4 takes seconds and its
+    # level 5 minutes
+    cases = [(core.validate_sequence(e), constructions.known_optimum(core.validate_sequence(e)))
+             for e in TABLE_FAMILIES]
+    for entries in [(5, 5, 3), (5, 4, 3), (6, 3, 3)]:
+        k = core.validate_sequence(entries)
+        optima = [t for t in search.solve_Q2(k, 4).optima if core.weighting_is_exact(t.weighting)]
+        assert optima, entries
+        cases += [(k, t) for t in optima]
+    broken = 0
+    for k, triple in cases:
+        d = core.q_value(triple).d
+        for size in range(1, k.s):
+            for T in itertools.combinations(range(2, k.s + 1), size):
+                for kprime in range(3, 4 if k.entries == (4, 4, 4, 4) else 7):
+                    con = lp.Constraint(frozenset(T), kprime)
+                    if sum(d[t - 1] for t in T if t <= len(d)) > con.cap:
+                        broken += 1
+                        valid, counter, _ = lp.constraint_validity_scan(con, k)
+                        assert not valid and counter.r == kprime, (k, T, kprime)
+    assert broken == 30
+
+
+def test_a_scan_the_budget_cuts_proves_nothing(monkeypatch):
+    real = search._Budget
+    monkeypatch.setattr(search, "_Budget", lambda limit: real(1))
+    lp.constraint_validity_scan.cache_clear()
+    try:
+        k = core.validate_sequence([3, 3, 3, 3])
+        (con,) = lp.recommended_constraints(k)
+        assert lp.constraint_validity_scan(con, k) == (False, None, False)
+        with pytest.raises(lp.InvalidConstraint, match=r"T=\[3, 4\], k'=3 is not proved"):
+            lp.sandwich_certificate(k, constructions.known_optimum(k))
+    finally:
+        lp.constraint_validity_scan.cache_clear()
 
 
 def test_sandwich_certificates_exact():
@@ -151,7 +202,6 @@ def test_sandwich_certificates_exact():
         cert = lp.sandwich_certificate(k, constructions.known_optimum(k))
         assert cert.verdict == "EXACT", entries
         assert cert.lower == cert.upper
-        assert cert.gap == 0.0
 
 
 def test_sandwich_certificate_reports_gap():
@@ -161,7 +211,7 @@ def test_sandwich_certificate_reports_gap():
         k, constructions.known_optimum(k), lp.LPInstance(k, ())
     )
     assert cert.verdict == "GAP"
-    assert cert.gap > 0
+    assert cert.upper > cert.lower
 
 
 def test_sandwich_certificate_refuses_a_constraint_its_construction_breaks():
