@@ -117,7 +117,7 @@ def test_constraint_validity_scan():
 
 def test_constraint_validity_scan_counterexamples_are_pinned():
     # recorded when every r re-enumerated its levels from scratch; the scan
-    # now walks each level once and must find the same first counterexample
+    # now decides on level k' alone and must find the same counterexample
     for entries, T, kprime, pairs in [
         ((3, 3, 3, 3), {2, 3, 4}, 3, {(0, 1): {1, 2}, (0, 2): {1, 2}, (1, 2): {3, 4}}),
         ((4, 4, 4), {2}, 3, {(0, 1): {1, 2}, (0, 2): {1, 2}, (1, 2): {1, 2}}),
@@ -159,8 +159,8 @@ def test_built_in_constraints_of_the_table_families_are_proved():
 def test_the_scan_refutes_every_constraint_a_construction_breaks():
     # a triple whose mass on T exceeds 1 - 1/(k'-1) holds a K_{k'} in H(T)
     # (Motzkin-Straus), so the scan refutes it on level k'; (4,4,4,4) is
-    # checked at k' = 3 only, as building its level 4 takes seconds and its
-    # level 5 minutes
+    # checked at k' = 3 only, as its level 4 takes about a second per
+    # constraint and its level 5 over a minute
     cases = [(core.validate_sequence(e), constructions.known_optimum(core.validate_sequence(e)))
              for e in TABLE_FAMILIES]
     for entries in [(5, 5, 3), (5, 4, 3), (6, 3, 3)]:
